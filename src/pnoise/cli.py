@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .field import default_prime
 from .grid import validate
 
 EXIT_PARSE, EXIT_VALIDATION, EXIT_RESOURCE = 2, 3, 4
+T_POINTS_CAP = 10_000
 
 
 class CliError(Exception):
@@ -99,11 +101,12 @@ def _parse_t_list(text):
         if s <= 0:
             raise CliError(EXIT_PARSE, "parse", "step must be positive",
                            "--t")
-        out, t = [], a
-        while t <= b:
-            out.append(t)
-            t += s
-        return out
+        count = max(0, math.floor((b - a) / s) + 1)
+        if count > T_POINTS_CAP:
+            raise CliError(EXIT_RESOURCE, "resource",
+                           f"range has {count} points, cap {T_POINTS_CAP}",
+                           "--t")
+        return [a + k * s for k in range(count)]
     return [_parse_q(x, "--t") for x in text.split(",") if x.strip()]
 
 

@@ -54,15 +54,6 @@ def _seeds_of(S: st.Submodule):
     return [(v, incl.mats[v].apply(x)) for v, x in st.minimal_generators(M)]
 
 
-def _span_ok(spec, F, seeds, t):
-    S = st.span_submodule(F, seeds)
-    C, _ = st.quotient_by_submodule(F, S)
-    sigma = ns.noise_size(spec, C)
-    if sigma == INFINITE or sigma >= t:
-        return None
-    return S
-
-
 def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
     """Greedy inclusion-minimization: drop redundant generators, then push
     surviving generators forward along axes while the span stays valid."""
@@ -72,9 +63,9 @@ def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
         changed = False
         for k in range(len(seeds)):
             trial = seeds[:k] + seeds[k + 1:]
-            S2 = _span_ok(spec, F, trial, t)
-            if S2 is not None and \
-                    st.rank(st.submodule_to_module(S2)[0]) >= rank:
+            S2 = st.span_submodule(F, trial)
+            rk, sigma = fc.score(spec, F, S2)
+            if sigma < t and rk >= rank:
                 seeds, S, changed = trial, S2, True
                 break
         if changed:
@@ -88,10 +79,11 @@ def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
                 if not any(y):
                     continue
                 trial = seeds[:k] + [(w, y)] + seeds[k + 1:]
-                S2 = _span_ok(spec, F, trial, t)
-                if S2 is None or st.submodules_equal(S2, S):
+                S2 = st.span_submodule(F, trial)
+                if st.submodules_equal(S2, S):
                     continue
-                if st.rank(st.submodule_to_module(S2)[0]) != rank:
+                rk, sigma = fc.score(spec, F, S2)
+                if sigma >= t or rk != rank:
                     continue
                 seeds, S, changed = trial, S2, True
                 break
@@ -109,7 +101,7 @@ def subfunctor_denoise(spec, F: GridModule, t, engine="exhaustive") \
     M, incl = st.submodule_to_module(S)
     budget = fc.equivalence_budget(spec, incl).total()
     certified = exact and budget != INFINITE and budget < t
-    return Denoising(t, M, "subfunctor", certified, st.rank(M))
+    return Denoising(t, M, "subfunctor", certified, st.submodule_rank(S))
 
 
 def denoising_betti_sequence(spec, F: GridModule, t_values,

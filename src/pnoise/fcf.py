@@ -4,8 +4,10 @@ equivalence budgets of natural maps, and the minimal-rank invariant bar(F).
 bar(F)_t asks for the smallest rank among subfunctors whose inclusion
 cokernel is quieter than t. Two engines answer it: an exhaustive walk over
 all closed submodules (exact, capped), and a generator-orbit search over
-spans of shifted minimal generators (upper bound). The one-parameter case
-has a closed form through the barcode.
+spans of shifted minimal generators (upper bound). Every search, here and
+in denoising, scores a candidate S through `score`: the rank of S and the
+noise size of F/S. The one-parameter case has a closed form through the
+barcode.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import structure as st
 from .errors import (NotClosedUnderSums, NotOneDimensional,
                      SearchSpaceTooLarge, UnsupportedNoise)
 from .field import Mat
-from .grid import GridModule, add, clip, evaluate_map, leq
+from .grid import GridModule, add, clip, evaluate_map, unit
 from .noise import INFINITE
 
 EXHAUSTIVE_DIM_CAP = 24
@@ -196,12 +198,6 @@ def _contains_cols(space: Mat, other: Mat) -> bool:
 def _enumerate_submodules(F: GridModule):
     """Yield every closed submodule as a dict point -> canonical basis."""
     pts = st.order(F.points())
-    preds = {v: [] for v in pts}
-    for v in pts:
-        for i in range(F.r):
-            if v[i] > 0:
-                u = tuple(c - 1 if k == i else c for k, c in enumerate(v))
-                preds[v].append((u, F.edge(u, i)))
     choices = {v: _all_subspaces(F.p, F.dims[v]) for v in pts}
 
     def walk(k, assign):
@@ -209,9 +205,7 @@ def _enumerate_submodules(F: GridModule):
             yield dict(assign)
             return
         v = pts[k]
-        pushed = Mat.zeros(F.dims[v], 0, F.p)
-        for u, e in preds[v]:
-            pushed = pushed.hstack(e @ assign[u])
+        pushed = st.predecessor_images(F, v, assign)
         for s in choices[v]:
             if _contains_cols(s, pushed):
                 assign[v] = s
@@ -220,21 +214,20 @@ def _enumerate_submodules(F: GridModule):
     yield from walk(0, {})
 
 
-def _rank_sigma_pairs(spec, F: GridModule):
-    """(rank, cokernel noise size) for every closed submodule of F."""
+def score(spec, F: GridModule, S: st.Submodule):
+    """(rank of S, noise size of F/S) for a closed submodule S of F."""
+    C, _ = st.quotient_by_submodule(F, S)
+    return st.submodule_rank(S), ns.noise_size(spec, C)
+
+
+def _scored_submodules(spec, F: GridModule):
+    """Yield (rank, sigma, S) for every closed submodule S of F."""
     if F.total_dim() > EXHAUSTIVE_DIM_CAP:
         raise SearchSpaceTooLarge(
             f"total dimension {F.total_dim()} exceeds {EXHAUSTIVE_DIM_CAP}")
-    pairs = []
     for basis in _enumerate_submodules(F):
         S = st.Submodule(F, basis)
-        C, _ = st.quotient_by_submodule(F, S)
-        sigma = ns.noise_size(spec, C)
-        if sigma == INFINITE:
-            continue
-        M, _ = st.submodule_to_module(S)
-        pairs.append((st.rank(M), sigma))
-    return pairs
+        yield (*score(spec, F, S), S)
 
 
 # -- generator orbit search ------------------------------------------------
@@ -243,8 +236,7 @@ def _rank_sigma_pairs(spec, F: GridModule):
 def _orbit_pool(spec, F: GridModule, t):
     """Candidate elements: F_p-combinations (capped) of forward shifts of
     the minimal generators by offsets quieter than t."""
-    costs = {m: ns.offset_cost(spec, m, F.alpha)
-             for m in itertools.product(range(F.box + 1), repeat=F.r)}
+    costs = ns._cost_table(spec, F.alpha, F.box, F.r)
     offsets = [m for m, c in costs.items() if c is not None and c < t]
     gens = st.minimal_generators(F)
     at_point = {}
@@ -277,14 +269,6 @@ def _orbit_pool(spec, F: GridModule, t):
     return pool
 
 
-def _sigma_of_span(spec, F, seeds):
-    S = st.span_submodule(F, seeds)
-    C, _ = st.quotient_by_submodule(F, S)
-    sigma = ns.noise_size(spec, C)
-    rank = st.rank(st.submodule_to_module(S)[0]) if seeds else 0
-    return rank, sigma, S
-
-
 def _orbit_value(spec, F: GridModule, t):
     """Upper bound on bar(F)_t by growing spans of pool elements."""
     full_rank = st.rank(F)
@@ -298,9 +282,9 @@ def _orbit_value(spec, F: GridModule, t):
             tried += 1
             if tried > budget:
                 break
-            seeds = [pool[i] for i in subset]
-            rank, sigma, S = _sigma_of_span(spec, F, seeds)
-            if sigma != INFINITE and sigma < t and rank <= k:
+            S = st.span_submodule(F, [pool[i] for i in subset])
+            rank, sigma = score(spec, F, S)
+            if sigma < t and rank <= k:
                 return rank, S
     return full_rank, st.full_submodule(F)
 
@@ -331,7 +315,8 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
     t_values = sorted({Fraction(t) for t in t_values})
     full_rank = st.rank(F)
     if engine == "exhaustive":
-        pairs = _rank_sigma_pairs(spec, F)
+        pairs = [(rk, sg) for rk, sg, _ in _scored_submodules(spec, F)
+                 if sg != INFINITE]
         cands = sorted({sigma for _, sigma in pairs})
         bps = [(Fraction(0), full_rank, False)]
         for c in cands:
@@ -368,23 +353,11 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
     _check_cone(spec)
     t = Fraction(t)
     if engine == "exhaustive":
-        if F.total_dim() > EXHAUSTIVE_DIM_CAP:
-            raise SearchSpaceTooLarge(
-                f"total dimension {F.total_dim()} exceeds "
-                f"{EXHAUSTIVE_DIM_CAP}")
-        best = None
-        for basis in _enumerate_submodules(F):
-            S = st.Submodule(F, basis)
-            C, _ = st.quotient_by_submodule(F, S)
-            sigma = ns.noise_size(spec, C)
-            if sigma == INFINITE or sigma >= t:
-                continue
-            rk = st.rank(st.submodule_to_module(S)[0])
-            if best is None or rk < best[0]:
-                best = (rk, S)
-        if best is None:
-            return st.rank(F), st.full_submodule(F), True
-        return best[0], best[1], True
+        hits = ((rk, S) for rk, sg, S in _scored_submodules(spec, F)
+                if sg < t)
+        rk, S = min(hits, key=lambda hit: hit[0],
+                    default=(st.rank(F), st.full_submodule(F)))
+        return rk, S, True
     if engine == "orbit":
         val, S = _orbit_value(spec, F, t)
         if S is None:
@@ -396,49 +369,44 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
 # -- natural transformation spaces and distance bounds ---------------------
 
 
-def natural_map_space(F: GridModule, G: GridModule):
-    """Basis of the F_p-vector space of natural transformations F -> G."""
-    pts = list(F.points())
+def _naturality_system(F: GridModule, G: GridModule):
+    """Rows of phi_w @ F(v<w) - G(v<w) @ phi_v == 0 over every lattice edge
+    v<w. The unknowns are the entries of the maps phi_v: F(v) -> G(v), each
+    stored row-major from offs[v]; total counts them."""
     offs, total = {}, 0
-    for v in pts:
+    for v in F.points():
         offs[v] = total
         total += G.dims[v] * F.dims[v]
-    if total == 0:
-        return [st.NatMap(F, G, {v: Mat.zeros(G.dims[v], F.dims[v], F.p)
-                                 for v in pts})]
     rows = []
-    for v in pts:
-        for i in range(F.r):
-            if v[i] == F.box:
-                continue
-            w = add(v, tuple(1 if j == i else 0 for j in range(F.r)))
-            a, b = F.edge(v, i), G.edge(v, i)
-            # entries of (phi_w @ a - b @ phi_v) == 0
-            for rr in range(G.dims[w]):
-                for cc in range(F.dims[v]):
-                    row = [0] * total
-                    for k in range(F.dims[w]):
-                        row[offs[w] + rr * F.dims[w] + k] = \
-                            (row[offs[w] + rr * F.dims[w] + k]
-                             + a.data[k][cc]) % F.p
-                    for k in range(G.dims[v]):
-                        row[offs[v] + k * F.dims[v] + cc] = \
-                            (row[offs[v] + k * F.dims[v] + cc]
-                             - b.data[rr][k]) % F.p
-                    rows.append(row)
-    big = Mat.from_rows(rows, F.p) if rows else Mat.zeros(0, total, F.p)
-    ker = fp.kernel_basis(big)
+    for (v, i), a in F.edges.items():
+        w = add(v, unit(i, F.r))
+        b = G.edge(v, i)
+        for rr in range(G.dims[w]):
+            for cc in range(F.dims[v]):
+                row = [0] * total
+                for k in range(F.dims[w]):
+                    row[offs[w] + rr * F.dims[w] + k] += a.data[k][cc]
+                for k in range(G.dims[v]):
+                    row[offs[v] + k * F.dims[v] + cc] -= b.data[rr][k]
+                rows.append(row)
+    return rows, offs, total
+
+
+def natural_map_space(F: GridModule, G: GridModule):
+    """Basis of the F_p-vector space of natural transformations F -> G."""
+    rows, offs, total = _naturality_system(F, G)
+    if total == 0:
+        return [st.zero_map(F, G)]
+    ker = fp.kernel_basis(Mat.from_rows(rows, F.p) if rows
+                          else Mat.zeros(0, total, F.p))
     maps = []
-    for j in range(ker.cols):
-        vec = ker.col(j)
+    for vec in ker.columns():
         mats = {}
-        for v in pts:
-            data = []
-            for rr in range(G.dims[v]):
-                base = offs[v] + rr * F.dims[v]
-                data.append(list(vec[base:base + F.dims[v]]))
-            mats[v] = Mat.from_rows(data, F.p) if G.dims[v] else \
-                Mat.zeros(0, F.dims[v], F.p)
+        for v in F.points():
+            n = F.dims[v]
+            mats[v] = Mat(F.p, G.dims[v], n, tuple(
+                vec[offs[v] + rr * n:offs[v] + (rr + 1) * n]
+                for rr in range(G.dims[v])))
         maps.append(st.NatMap(F, G, mats))
     return maps
 
@@ -467,8 +435,6 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
     best, wit = INFINITE, None
     for (src, dst) in ((F, G), (G, F)):
         basis = natural_map_space(src, dst)
-        if not any(d for d in src.dims.values()):
-            basis = [st.zero_map(src, dst)]
         for phi in _combinations_of_maps(basis, src, dst):
             b = equivalence_budget(spec, phi).total()
             if b < best:
@@ -482,18 +448,48 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
 def is_interleaved(F: GridModule, G: GridModule, tau,
                    cap=ORBIT_COMBO_CAP) -> bool:
     """Existence of tau-shifted maps both ways whose composites are the
-    internal 2*tau shifts. tau is in lattice steps of the common grid."""
+    internal 2*tau shifts. tau is in lattice steps of the common grid.
+
+    Candidates phi: F -> G(-+tau) are tried in turn; for each, the maps
+    psi: G -> F(-+tau) form one linear system: psi's naturality, plus
+    psi_{v+tau} phi_v == F(v <= v+2tau) and phi_{v+tau} psi_v ==
+    G(v <= v+2tau)."""
     tau = tuple(int(c) for c in tau)
     two = tuple(2 * c for c in tau)
-
     shiftedG = _shift_module(G, tau)
     shiftedF = _shift_module(F, tau)
+    nat_rows, offs, total = _naturality_system(G, shiftedF)
+    target_F = {v: evaluate_map(F, v, add(v, two)) for v in F.points()}
+    target_G = {v: evaluate_map(G, v, add(v, two)) for v in G.points()}
     phis = natural_map_space(F, shiftedG)
-    combos = list(_combinations_of_maps(phis, F, shiftedG, cap))
-    if not combos:
-        combos = [st.zero_map(F, shiftedG)]
-    for phi in combos:
-        if _psi_exists(F, G, phi, tau, two, shiftedF):
+    for phi in _combinations_of_maps(phis, F, shiftedG, cap):
+        rows, rhs = list(nat_rows), [0] * len(nat_rows)
+        for v in F.points():
+            vt = clip(add(v, tau), F.box)
+            pv, target, n = phi.mats[v], target_F[v], G.dims[vt]
+            for rr in range(target.rows):
+                for cc in range(F.dims[v]):
+                    row = [0] * total
+                    for k in range(n):
+                        row[offs[vt] + rr * n + k] = pv.data[k][cc]
+                    rows.append(row)
+                    rhs.append(target.data[rr][cc])
+        for v in G.points():
+            vt = clip(add(v, tau), G.box)
+            pm, target, n = phi.mats[vt], target_G[v], G.dims[v]
+            for rr in range(target.rows):
+                for cc in range(n):
+                    row = [0] * total
+                    for k in range(shiftedF.dims[v]):
+                        row[offs[v] + k * n + cc] = pm.data[rr][k]
+                    rows.append(row)
+                    rhs.append(target.data[rr][cc])
+        if total == 0 or not rows:
+            ok = not any(rhs)
+        else:
+            ok = fp.solvable(Mat.from_rows(rows, F.p),
+                             Mat.from_cols([rhs], len(rows), F.p))
+        if ok:
             return True
     return False
 
@@ -506,71 +502,9 @@ def _shift_module(G: GridModule, tau):
         for i in range(G.r):
             if v[i] == G.box:
                 continue
-            w = add(v, tuple(1 if j == i else 0 for j in range(G.r)))
+            w = add(v, unit(i, G.r))
             edges[(v, i)] = evaluate_map(G, add(v, tau), add(w, tau))
     return GridModule(G.r, G.alpha, G.box, G.p, dims, edges)
-
-
-def _psi_exists(F, G, phi, tau, two, shiftedF):
-    """Solve the linear system for psi: G -> F(-+tau) given phi."""
-    pts = list(G.points())
-    offs, total = {}, 0
-    for v in pts:
-        offs[v] = total
-        total += shiftedF.dims[v] * G.dims[v]
-    rows, rhs = [], []
-
-    def add_entry(row, v, rr, cc, val, src_dims):
-        row[offs[v] + rr * src_dims + cc] = \
-            (row[offs[v] + rr * src_dims + cc] + val) % F.p
-
-    # naturality of psi
-    for v in pts:
-        for i in range(G.r):
-            if v[i] == G.box:
-                continue
-            w = add(v, tuple(1 if j == i else 0 for j in range(G.r)))
-            a, b = G.edge(v, i), shiftedF.edge(v, i)
-            for rr in range(shiftedF.dims[w]):
-                for cc in range(G.dims[v]):
-                    row = [0] * total
-                    for k in range(G.dims[w]):
-                        add_entry(row, w, rr, k, a.data[k][cc], G.dims[w])
-                    for k in range(shiftedF.dims[v]):
-                        add_entry(row, v, k, cc, -b.data[rr][k], G.dims[v])
-                    rows.append(row)
-                    rhs.append(0)
-    # psi_{v+tau} phi_v == F(v <= v+2 tau)
-    for v in F.points():
-        vt = clip(add(v, tau), F.box)
-        target = evaluate_map(F, v, add(v, two))
-        pv = phi.mats[v]
-        gdim = G.dims[vt]
-        for rr in range(target.rows):
-            for cc in range(F.dims[v]):
-                row = [0] * total
-                for k in range(gdim):
-                    add_entry(row, vt, rr, k, pv.data[k][cc], gdim)
-                rows.append(row)
-                rhs.append(target.data[rr][cc])
-    # phi_{v+tau} psi_v == G(v <= v+2 tau)
-    for v in pts:
-        vt = clip(add(v, tau), G.box)
-        target = evaluate_map(G, v, add(v, two))
-        pm = phi.mats[vt]
-        fdim = shiftedF.dims[v]
-        for rr in range(target.rows):
-            for cc in range(G.dims[v]):
-                row = [0] * total
-                for k in range(fdim):
-                    add_entry(row, v, k, cc, pm.data[rr][k], G.dims[v])
-                rows.append(row)
-                rhs.append(target.data[rr][cc])
-    if total == 0:
-        return all(x % F.p == 0 for x in rhs)
-    big = Mat.from_rows(rows, F.p) if rows else Mat.zeros(0, total, F.p)
-    b = Mat.from_cols([tuple(x % F.p for x in rhs)], big.rows, F.p)
-    return fp.solvable(big, b)
 
 
 # -- CSV form --------------------------------------------------------------

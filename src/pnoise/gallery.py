@@ -10,13 +10,12 @@ form a cone.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction as Q
 
 from . import field as fp
 from .field import Mat
 from .grid import GridModule, add, box_points, leq, make_module, unit
-from .structure import (NatMap, minimal_generators, span_submodule,
+from .structure import (minimal_generators, span_submodule,
                         submodule_to_module)
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import field as fp
 from . import polyhedra as ph
 from .errors import (ElementEnumerationTooLarge, NotClosedUnderSums,
                      ParseError, UnsupportedNoise)
 from .field import Mat
-from .grid import GridModule, add, box_points, clip, evaluate_map, leq
+from .grid import GridModule, add, box_points, evaluate_map, leq
 from .structure import Submodule
 
 INFINITE = float("inf")
@@ -37,6 +38,9 @@ class ConeNoise:
     generators: tuple  # tuple of tuples of Fraction, componentwise >= 0
 
     def __post_init__(self):
+        # tuples keep the spec hashable, and so a key of the cost-table memo
+        object.__setattr__(self, "generators",
+                           tuple(tuple(g) for g in self.generators))
         if not self.generators:
             raise ValueError("cone needs at least one generator")
         for g in self.generators:
@@ -57,6 +61,8 @@ class VNormNoise:
     vectors: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "vectors",
+                           tuple(tuple(g) for g in self.vectors))
         if not self.vectors:
             raise ValueError("need at least one vector")
         for g in self.vectors:
@@ -195,7 +201,10 @@ def offset_cost(spec, m, alpha):
     return ph.minimize(cons, nv, 0)
 
 
+@lru_cache(maxsize=None)
 def _cost_table(spec, alpha, box, r):
+    """offset -> offset_cost for every in-box offset. The package reads
+    offset costs only from here; memoised, so callers must not mutate it."""
     return {m: offset_cost(spec, m, alpha) for m in box_points(r, box)}
 
 
@@ -398,23 +407,6 @@ def noise_size(spec, F: GridModule):
     """Smallest eps with contains(spec, F, eps), or INFINITE."""
     if F.total_dim() == 0:
         return Fraction(0)
-    if isinstance(spec, (ConeNoise, VNormNoise)):
-        costs = _cost_table(spec, F.alpha, F.box, F.r)
-        candidates = sorted({c for c in costs.values() if c is not None})
-        for eps in candidates:
-            if contains(spec, F, eps):
-                return eps
-        return INFINITE
-    if isinstance(spec, DomainNoise):
-        for e, _ in spec.steps:
-            if contains(spec, F, e):
-                return e
-        return INFINITE
-    if isinstance(spec, DimensionNoise):
-        for e, _ in spec.steps:
-            if contains(spec, F, e):
-                return e
-        return INFINITE
     if isinstance(spec, Intersection):
         sizes = [noise_size(part, F) for part in spec.parts]
         worst = max(sizes)
@@ -426,7 +418,10 @@ def noise_size(spec, F: GridModule):
                     return e
             return INFINITE
         return worst
-    raise UnsupportedNoise(type(spec).__name__)
+    for eps in noise_candidates(spec, F):
+        if contains(spec, F, eps):
+            return eps
+    return INFINITE
 
 
 # -- closure under direct sums --------------------------------------------

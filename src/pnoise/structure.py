@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import field as fp
 from .errors import NonNatural, NotClosed
 from .field import Mat
-from .grid import GridModule, add, evaluate_map, unit
+from .grid import GridModule, add, evaluate_map, leq, unit
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,23 @@ def is_closed(S: Submodule) -> bool:
 # -- radical / betti -------------------------------------------------------
 
 
+def predecessor_images(F: GridModule, v, basis=None) -> Mat:
+    """Columns spanning the sum, in F(v), of the images of the r immediate
+    predecessors' spaces: all of F(u), or span(basis[u]) when given."""
+    block = Mat.zeros(F.dims[v], 0, F.p)
+    for i in range(F.r):
+        if v[i] == 0:
+            continue
+        u = tuple(c - 1 if k == i else c for k, c in enumerate(v))
+        e = F.edge(u, i)
+        block = block.hstack(e if basis is None else e @ basis[u])
+    return block
+
+
 def radical(F: GridModule) -> Submodule:
     """rad(F)(v) = sum of the images of the r immediate predecessor edges."""
-    basis = {}
-    for v in F.points():
-        block = Mat.zeros(F.dims[v], 0, F.p)
-        for i in range(F.r):
-            if v[i] == 0:
-                continue
-            u = tuple(c - 1 if k == i else c for k, c in enumerate(v))
-            block = block.hstack(F.edge(u, i))
-        basis[v] = fp.column_reduce(block)
-    return Submodule(F, basis)
+    return Submodule(F, {v: fp.column_reduce(predecessor_images(F, v))
+                         for v in F.points()})
 
 
 def betti0(F: GridModule) -> dict:
@@ -141,6 +146,14 @@ def betti0(F: GridModule) -> dict:
 
 def rank(F: GridModule) -> int:
     return sum(betti0(F).values())
+
+
+def submodule_rank(S: Submodule) -> int:
+    """rank of the closed submodule S, read off its bases: the sum over v of
+    dim S(v) minus the dimension of the images of S at v's predecessors."""
+    F = S.parent
+    return sum(S.basis[v].cols - fp.rank(predecessor_images(F, v, S.basis))
+               for v in F.points())
 
 
 def support(F: GridModule):
@@ -211,12 +224,8 @@ def span_submodule(F: GridModule, seeds) -> Submodule:
     basis = {}
     for v in order(F.points()):
         block = Mat.from_cols(at_point[v], F.dims[v], F.p)
-        for i in range(F.r):
-            if v[i] == 0:
-                continue
-            u = tuple(c - 1 if k == i else c for k, c in enumerate(v))
-            block = block.hstack(F.edge(u, i) @ basis[u])
-        basis[v] = fp.column_reduce(block)
+        basis[v] = fp.column_reduce(
+            block.hstack(predecessor_images(F, v, basis)))
     return Submodule(F, basis)
 
 
@@ -242,7 +251,6 @@ def minimal_cover(F: GridModule) -> NatMap:
     """Epimorphism from a free module inducing an iso on semisimple quotients."""
     gens = minimal_generators(F)
     p, r, box = F.p, F.r, F.box
-    from .grid import leq  # local import to avoid cycle noise at module load
     dims = {v: sum(1 for g, _ in gens if leq(g, v)) for v in F.points()}
     edges = {}
     for v in F.points():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -89,6 +90,16 @@ def test_fcf_range_syntax(line_file, capsys):
     assert main(["fcf", line_file, "--noise", "cone:1",
                  "--t", "0:2:1/2"]) == 0
     assert "t=1/2 value=4" in capsys.readouterr().out
+
+
+def test_fcf_range_over_cap_exits_at_once(line_file, capsys):
+    t0 = time.perf_counter()
+    assert main(["fcf", line_file, "--noise", "cone:1",
+                 "--t", "0:1000000000:1/1000"]) == 4
+    assert time.perf_counter() - t0 < 1
+    e = stderr_json(capsys)
+    assert e["code"] == "resource" and e["location"] == "--t"
+    assert "1000000000001 points, cap 10000" in e["message"]
 
 
 def test_fcf_bad_noise(line_file, capsys):

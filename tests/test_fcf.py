@@ -276,6 +276,47 @@ def test_interleaved_with_zero():
     assert not is_interleaved(make_free((0,), 4, Q(1), 2), Z, (1,))
 
 
+def _interleaved_by_brute_force(F, G, tau):
+    """Try every pair phi: F -> G(-+tau), psi: G -> F(-+tau) and compare
+    both composites with the internal 2*tau shifts."""
+    two = tuple(2 * c for c in tau)
+    sF, sG = fc._shift_module(F, tau), fc._shift_module(G, tau)
+    phis = list(fc._combinations_of_maps(natural_map_space(F, sG), F, sG))
+    psis = list(fc._combinations_of_maps(natural_map_space(G, sF), G, sF))
+
+    def composes(a, b, X):
+        return all(
+            (b.mats[grid.clip(grid.add(v, tau), X.box)] @ a.mats[v]).data
+            == grid.evaluate_map(X, v, grid.add(v, two)).data
+            for v in X.points())
+
+    return any(composes(phi, psi, F) and composes(psi, phi, G)
+               for phi in phis for psi in psis)
+
+
+def test_is_interleaved_matches_brute_force():
+    rng = random.Random(5)
+    answers = []
+    while len(answers) < 60:
+        F = random_line_module(rng, box=3, p=2, maxdim=2, total_cap=3)
+        if rng.random() < 0.5:
+            start = rng.randrange(3)
+            G = direct_sum(F, make_bar(Bar((start,), (start + 1,)),
+                                       3, Q(1), 2))
+        else:
+            G = random_line_module(rng, box=3, p=2, maxdim=2, total_cap=3)
+        tau = (rng.randrange(3),)
+        sF, sG = fc._shift_module(F, tau), fc._shift_module(G, tau)
+        n = len(natural_map_space(F, sG)) + len(natural_map_space(G, sF))
+        if 2 ** n > fc.ORBIT_COMBO_CAP:
+            continue        # past the cap the phi walk is not exhaustive
+        got = is_interleaved(F, G, tau)
+        assert got == _interleaved_by_brute_force(F, G, tau), \
+            (F.dims, G.dims, tau)
+        answers.append(got)
+    assert True in answers and False in answers
+
+
 def test_interleaved_two_bars():
     # bars [0,1) and [0,3): interleaving distance 3/2 (half-step lattice)
     box = 7

@@ -354,6 +354,36 @@ def test_additivity_spot_check():
         assert contains(RAY1, F, a + b)
 
 
+# -- cost tables -----------------------------------------------------------
+
+
+def test_cost_table_built_once(monkeypatch):
+    calls = []
+    real = noise.offset_cost
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(noise, "offset_cost", counted)
+    noise._cost_table.cache_clear()
+    assert noise_size(RAY1, make_bar(Bar((0,), (2,)), 4, Q(1), 2)) == 2
+    assert len(calls) == 5                  # one per offset in {0..4}
+    assert noise_size(RAY1, make_free((1,), 4, Q(1), 2)) == INFINITE
+    assert len(calls) == 5                  # same (alpha, box, r): no solve
+
+
+def test_list_built_specs_work_under_the_memo():
+    F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
+    for kind in (ConeNoise, VNormNoise):
+        spec = kind([[Q(1)]])
+        assert spec == kind(((Q(1),),))
+        assert hash(spec) == hash(kind(((Q(1),),)))
+        assert noise_size(spec, F) == 2
+        assert noise_size(kind([[1, 1]]), make_bar(
+            Bar((0, 0), (1, 3)), 3, Q(1), 2, 2)) == 3
+
+
 # -- parsing ---------------------------------------------------------------
 
 

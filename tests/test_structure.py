@@ -182,3 +182,17 @@ def test_submodule_contains():
     F = line_module_f3()
     assert st.submodule_contains(st.full_submodule(F), st.radical(F))
     assert not st.submodule_contains(st.zero_submodule(F), st.radical(F))
+
+
+def test_submodule_rank_matches_module_rank():
+    """The rank read off S's bases equals the rank of S built as a module."""
+    rng = random.Random(23)
+    for k in range(60):
+        F = random_line_module(rng, box=3, p=2, maxdim=3) if k % 2 \
+            else random_sum_module(rng, r=2, box=2, p=2, summands=3)
+        seeds = [(v, tuple(rng.randrange(F.p) for _ in range(F.dims[v])))
+                 for v in F.points() if F.dims[v] and rng.random() < 0.4]
+        for S in (st.span_submodule(F, seeds), st.full_submodule(F),
+                  st.zero_submodule(F)):
+            assert st.submodule_rank(S) == \
+                st.rank(st.submodule_to_module(S)[0]), (F.dims, seeds)
