@@ -24,7 +24,7 @@ from . import structure as st
 from .errors import (NotClosedUnderSums, NotOneDimensional,
                      SearchSpaceTooLarge, UnsupportedNoise)
 from .field import Mat
-from .grid import GridModule, add, clip, evaluate_map, unit
+from .grid import GridModule, add, clip, evaluate_map, modules_equal, unit
 from .noise import INFINITE
 
 EXHAUSTIVE_DIM_CAP = 24
@@ -169,30 +169,20 @@ def bar_zero_check(spec, F: GridModule, t) -> bool:
 
 @lru_cache(maxsize=None)
 def _all_subspaces(p, d):
-    """Canonical (column-reduced) bases of every subspace of F_p^d."""
-    zero = fp.column_reduce(Mat.zeros(d, 0, p))
-    seen = {zero.data: zero}
-    frontier = [zero]
-    vectors = [v for v in itertools.product(range(p), repeat=d) if any(v)]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in vectors:
-                if fp.in_span(s, v):
-                    continue
-                bigger = fp.column_reduce(
-                    s.hstack(Mat.from_cols([v], d, p)))
-                if bigger.data not in seen:
-                    seen[bigger.data] = bigger
-                    nxt.append(bigger)
-        frontier = nxt
-    return tuple(seen.values())
-
-
-def _contains_cols(space: Mat, other: Mat) -> bool:
-    if other.cols == 0:
-        return True
-    return fp.rank(space.hstack(other)) == fp.rank(space)
+    """Canonical (column-reduced) bases of every subspace of F_p^d, each
+    built once from its pivot positions and the entries of its columns
+    after their pivots that fall outside the other pivots."""
+    out = []
+    for k in range(d + 1):
+        for pivots in itertools.combinations(range(d), k):
+            free = [(i, j) for i, pv in enumerate(pivots)
+                    for j in range(pv + 1, d) if j not in pivots]
+            for entries in itertools.product(range(p), repeat=len(free)):
+                cols = [[int(j == pv) for j in range(d)] for pv in pivots]
+                for (i, j), c in zip(free, entries):
+                    cols[i][j] = c
+                out.append(Mat.from_cols(cols, d, p))
+    return tuple(out)
 
 
 def _enumerate_submodules(F: GridModule):
@@ -207,7 +197,7 @@ def _enumerate_submodules(F: GridModule):
         v = pts[k]
         pushed = st.predecessor_images(F, v, assign)
         for s in choices[v]:
-            if _contains_cols(s, pushed):
+            if fp.span_contains(s, pushed):
                 assign[v] = s
                 yield from walk(k + 1, assign)
 
@@ -429,7 +419,6 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
     """Certified upper bound on the closeness pseudometric: the best
     equivalence budget among all natural maps F->G and G->F. Returns
     (bound, witness NatMap or None)."""
-    from .grid import modules_equal
     if modules_equal(F, G):
         return Fraction(0), st.identity_map(F)
     best, wit = INFINITE, None
@@ -453,7 +442,14 @@ def is_interleaved(F: GridModule, G: GridModule, tau,
     Candidates phi: F -> G(-+tau) are tried in turn; for each, the maps
     psi: G -> F(-+tau) form one linear system: psi's naturality, plus
     psi_{v+tau} phi_v == F(v <= v+2tau) and phi_{v+tau} psi_v ==
-    G(v <= v+2tau)."""
+    G(v <= v+2tau).
+
+    F is tau-interleaved with itself through its own structure maps, so
+    equal presentations answer True at once. Otherwise, past `cap`
+    combinations of phi's basis only the basis maps are tried, so a False
+    answer is not certified there."""
+    if modules_equal(F, G):
+        return True
     tau = tuple(int(c) for c in tau)
     two = tuple(2 * c for c in tau)
     shiftedG = _shift_module(G, tau)

@@ -229,6 +229,12 @@ def quotient_map(sub_basis: Mat, ambient_dim: int) -> Mat:
     return q
 
 
+def span_contains(basis: Mat, other: Mat) -> bool:
+    """Is colspan(other) inside colspan(basis)? basis must have independent
+    columns, so its rank is its column count."""
+    return other.cols == 0 or rank(basis.hstack(other)) == basis.cols
+
+
 def in_span(basis: Mat, vec) -> bool:
     """Is vec in the column span of basis?"""
     return solvable(basis, Mat.from_cols([vec], basis.rows, basis.p))

@@ -7,6 +7,13 @@ dominating alpha*m componentwise. Because kernels only grow along an axis
 noise level eps iff every nonzero element at every lattice point is killed
 by some offset of cost at most eps. All polyhedral questions are answered by
 Fourier-Motzkin elimination over the rationals, so the answers are exact.
+
+Cone and vnorm specs share one witness system, w = sum a_j d_j with a >= 0
+dominating a target; they differ only in the linear forms whose maximum is
+the witness's norm (w_i for cones, a_j for vnorm). Offset costs, feasible
+offsets and the closure-under-sums test all start from it. Membership,
+certificates and the union-of-rays helper share one loop that looks for a
+killing offset of each nonzero element.
 """
 
 from __future__ import annotations
@@ -149,63 +156,61 @@ class Intersection:
 # -- offset costs ----------------------------------------------------------
 
 
-def _cone_cost_system(gens, target):
-    """Constraints for: a >= 0, (sum_j a_j g_j)_i >= target_i, each
-    component <= t, with variables (t, a_1..a_g). Returns constraints."""
-    ng, r = len(gens), len(gens[0])
-    cons = []
-    for j in range(ng):
-        cons.append((tuple(-1 if k == j + 1 else 0 for k in range(ng + 1)),
-                     Fraction(0), False))
-    for i in range(r):
-        row = [Fraction(0)] * (ng + 1)
-        for j, g in enumerate(gens):
-            row[j + 1] = -Fraction(g[i])
-        cons.append((tuple(row), -Fraction(target[i]), False))  # w_i >= target
-        row2 = [Fraction(0)] * (ng + 1)
-        row2[0] = Fraction(-1)
-        for j, g in enumerate(gens):
-            row2[j + 1] = Fraction(g[i])
-        cons.append((tuple(row2), Fraction(0), False))          # w_i <= t
-    return cons, ng + 1
+def _neg(row):
+    return tuple(-c for c in row)
 
 
-def _vnorm_cost_system(vecs, target):
-    """Variables (t, a_1..a_k): a >= 0, sum a_k v_k >= target, a_k <= t."""
-    ng = len(vecs)
-    r = len(vecs[0])
-    cons = []
-    for j in range(ng):
-        cons.append((tuple(-1 if k == j + 1 else 0 for k in range(ng + 1)),
-                     Fraction(0), False))
-        row = [Fraction(0)] * (ng + 1)
-        row[0], row[j + 1] = Fraction(-1), Fraction(1)
-        cons.append((tuple(row), Fraction(0), False))           # a_j <= t
-    for i in range(r):
-        row = [Fraction(0)] * (ng + 1)
-        for j, g in enumerate(vecs):
-            row[j + 1] = -Fraction(g[i])
-        cons.append((tuple(row), -Fraction(target[i]), False))
-    return cons, ng + 1
+def _witness_system(spec, lo):
+    """The witness w = sum_j a_j d_j over the directions d_j of a
+    cone-shaped spec, with the coefficients a as variables.
+
+    Returns (cons, w_rows, norm_rows): cons says a >= 0 and w >= lo;
+    w_rows[i] is w_i as a linear form in a; the witness's norm is its
+    largest norm row, which is w_i for cone specs and a_j for vnorm specs."""
+    if isinstance(spec, ConeNoise):
+        dirs = spec.generators
+    elif isinstance(spec, VNormNoise):
+        dirs = spec.vectors
+    else:
+        raise UnsupportedNoise(type(spec).__name__)
+    k = len(dirs)
+    coeffs = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+    w_rows = [tuple(Fraction(d[i]) for d in dirs) for i in range(len(dirs[0]))]
+    cons = [(_neg(row), Fraction(0), False) for row in coeffs]
+    cons += [(_neg(row), -Fraction(c), False) for row, c in zip(w_rows, lo)]
+    return cons, w_rows, (w_rows if isinstance(spec, ConeNoise) else coeffs)
 
 
 def offset_cost(spec, m, alpha):
     """Smallest norm of a cone vector dominating alpha*m, or None."""
-    target = tuple(Fraction(alpha) * c for c in m)
-    if isinstance(spec, ConeNoise):
-        cons, nv = _cone_cost_system(spec.generators, target)
-    elif isinstance(spec, VNormNoise):
-        cons, nv = _vnorm_cost_system(spec.vectors, target)
-    else:
-        raise UnsupportedNoise(type(spec).__name__)
-    return ph.minimize(cons, nv, 0)
+    cons, _, norm = _witness_system(spec, [Fraction(alpha) * c for c in m])
+    # variables (t, a): every norm row is at most t
+    cons = [((0,) + row, rhs, strict) for row, rhs, strict in cons]
+    cons += [((-1,) + row, Fraction(0), False) for row in norm]
+    return ph.minimize(cons, len(cons[0][0]), 0)
 
 
 @lru_cache(maxsize=None)
 def _cost_table(spec, alpha, box, r):
     """offset -> offset_cost for every in-box offset. The package reads
-    offset costs only from here; memoised, so callers must not mutate it."""
+    lattice offset costs only from here; memoised, so callers must not
+    mutate it."""
     return {m: offset_cost(spec, m, alpha) for m in box_points(r, box)}
+
+
+@lru_cache(maxsize=None)
+def _kill_offsets(spec, alpha, box, r, eps):
+    """The in-box offsets of cost <= eps, which form a down-closed set:
+    returns (maximal offsets, componentwise corner, corner_ok), where
+    corner_ok says the corner itself costs at most eps."""
+    costs = _cost_table(spec, alpha, box, r)
+    good = [m for m, c in costs.items() if c is not None and c <= eps]
+    maximal = tuple(m for m in good
+                    if not any(m != m2 and leq(m, m2) for m2 in good))
+    corner = tuple(max(m[i] for m in maximal) for i in range(r)) if maximal \
+        else (0,) * r
+    corner_cost = costs.get(corner)
+    return maximal, corner, corner_cost is not None and corner_cost <= eps
 
 
 # -- feasible offsets (cell-exact witness sets) ----------------------------
@@ -222,45 +227,14 @@ def feasible_offsets(spec, eps, alpha, r):
     top = -(-eps.numerator * alpha.denominator
             // (eps.denominator * alpha.numerator))  # ceil(eps/alpha)
     out = set()
-    if isinstance(spec, ConeNoise):
-        dirs = spec.generators
-    elif isinstance(spec, VNormNoise):
-        dirs = spec.vectors
-    else:
-        raise UnsupportedNoise(type(spec).__name__)
-    ng = len(dirs)
     for m in box_points(r, top):
-        found = False
-        for k in range(max(r, ng)):
-            cons = []
-            for j in range(ng):
-                cons.append((tuple(-1 if t == j else 0 for t in range(ng)),
-                             Fraction(0), False))
-            for i in range(r):
-                row = tuple(-Fraction(g[i]) for g in dirs)
-                cons.append((row, -alpha * m[i], False))            # w_i >= m_i a
-                cons.append((tuple(-c for c in row),
-                             alpha * (m[i] + 1), True))             # w_i < (m_i+1)a
-            if isinstance(spec, ConeNoise):
-                if k >= r:
-                    continue
-                for i in range(r):
-                    cons.append((tuple(Fraction(g[i]) for g in dirs),
-                                 eps, False))                       # w_i <= eps
-                cons.append((tuple(-Fraction(g[k]) for g in dirs),
-                             -eps, False))                          # w_k >= eps
-            else:
-                if k >= ng:
-                    continue
-                for j in range(ng):
-                    cons.append((tuple(1 if t == j else 0 for t in range(ng)),
-                                 eps, False))                       # a_j <= eps
-                cons.append((tuple(-1 if t == k else 0 for t in range(ng)),
-                             -eps, False))                          # a_k >= eps
-            if ph.feasible(cons, ng):
-                found = True
-                break
-        if found:
+        cons, w_rows, norm = _witness_system(spec, [alpha * c for c in m])
+        cons += [(row, alpha * (c + 1), True)                 # w_i < (m_i+1)a
+                 for row, c in zip(w_rows, m)]
+        cons += [(row, eps, False) for row in norm]          # norm <= eps
+        # the norm reaches eps when some norm row does
+        if any(ph.feasible(cons + [(_neg(row), -eps, False)], len(row))
+               for row in norm):
             out.add(m)
     return out
 
@@ -268,15 +242,11 @@ def feasible_offsets(spec, eps, alpha, r):
 # -- membership ------------------------------------------------------------
 
 
-def _domain_cells(F: GridModule):
-    cells = []
-    for v in F.points():
-        if F.dims[v] == 0:
-            continue
-        lo = tuple(F.alpha * c for c in v)
-        hi = tuple(None if c == F.box else F.alpha * (c + 1) for c in v)
-        cells.append((lo, hi))
-    return cells
+def _cell(F: GridModule, v):
+    """The half-open rational cell [lo, hi) of lattice point v; cells on the
+    box's upper face are unbounded (hi component None)."""
+    return (tuple(F.alpha * c for c in v),
+            tuple(None if c == F.box else F.alpha * (c + 1) for c in v))
 
 
 def _cell_covered(lo, hi, boxes):
@@ -318,20 +288,6 @@ def _cell_covered(lo, hi, boxes):
     return True
 
 
-def _kill_offsets(spec, F, eps):
-    """Down-closed set of in-box offsets of cost <= eps, as a cost table
-    restriction; returns (all_offsets, maximal_offsets, corner_ok)."""
-    costs = _cost_table(spec, F.alpha, F.box, F.r)
-    good = [m for m, c in costs.items() if c is not None and c <= eps]
-    maximal = [m for m in good
-               if not any(m != m2 and leq(m, m2) for m2 in good)]
-    corner = tuple(max(m[i] for m in good) for i in range(F.r)) if good \
-        else (0,) * F.r
-    corner_cost = costs.get(corner)
-    corner_ok = corner_cost is not None and corner_cost <= eps
-    return good, maximal, corner, corner_ok
-
-
 def _elements(dim, p):
     if p ** dim > ELEMENT_CAP:
         raise ElementEnumerationTooLarge(
@@ -339,39 +295,26 @@ def _elements(dim, p):
     return itertools.product(range(p), repeat=dim)
 
 
-def _cone_contains(spec, F, eps, want_certificate=False):
-    _, maximal, corner, corner_ok = _kill_offsets(spec, F, eps)
-    cert = {}
-    if corner_ok and not want_certificate:
-        for v in F.points():
-            if F.dims[v] and not evaluate_map(F, v, add(v, corner)).is_zero():
-                return False, None
-        return True, None
-    kills = {}
+def _kills(F: GridModule, offsets):
+    """Yield (v, x, m) for every nonzero element x of every F(v), where m
+    is the first of the offsets with F(v <= v+m)x == 0, or None."""
     for v in F.points():
         if F.dims[v] == 0:
             continue
-        mats = [(m, evaluate_map(F, v, add(v, m))) for m in maximal]
-        kills[v] = mats
-    ok = True
-    for v, mats in kills.items():
+        mats = [(m, evaluate_map(F, v, add(v, m))) for m in offsets]
         for x in _elements(F.dims[v], F.p):
-            if not any(x):
-                continue
-            hit = None
-            for m, mat in mats:
-                if not any(mat.apply(x)):
-                    hit = m
-                    break
-            if hit is None:
-                ok = False
-                if want_certificate:
-                    cert[(v, x)] = None
-                else:
-                    return False, None
-            elif want_certificate:
-                cert[(v, x)] = hit
-    return ok, (cert if want_certificate else None)
+            if any(x):
+                yield v, x, next(
+                    (m for m, mat in mats if not any(mat.apply(x))), None)
+
+
+def _cone_contains(spec, F: GridModule, eps):
+    maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
+                                               eps)
+    if corner_ok:
+        return all(evaluate_map(F, v, add(v, corner)).is_zero()
+                   for v in F.points() if F.dims[v])
+    return all(m is not None for _, _, m in _kills(F, maximal))
 
 
 def contains(spec, F: GridModule, eps) -> bool:
@@ -380,12 +323,11 @@ def contains(spec, F: GridModule, eps) -> bool:
     if eps < 0:
         return False
     if isinstance(spec, (ConeNoise, VNormNoise)):
-        ok, _ = _cone_contains(spec, F, eps)
-        return ok
+        return _cone_contains(spec, F, eps)
     if isinstance(spec, DomainNoise):
         boxes = spec.region(eps)
-        return all(_cell_covered(lo, hi, boxes)
-                   for lo, hi in _domain_cells(F))
+        return all(_cell_covered(*_cell(F, v), boxes)
+                   for v in F.points() if F.dims[v])
     if isinstance(spec, DimensionNoise):
         n = spec.threshold(eps)
         return max(F.dims.values(), default=0) <= n
@@ -399,25 +341,17 @@ def offset_certificate(spec, F: GridModule, eps):
     None when that element has no witness (cone-shaped specs only)."""
     if not isinstance(spec, (ConeNoise, VNormNoise)):
         raise UnsupportedNoise("certificates exist for cone-shaped specs only")
-    _, cert = _cone_contains(spec, F, Fraction(eps), want_certificate=True)
-    return cert
+    maximal, _, _ = _kill_offsets(spec, F.alpha, F.box, F.r, Fraction(eps))
+    return {(v, x): m for v, x, m in _kills(F, maximal)}
 
 
 def noise_size(spec, F: GridModule):
     """Smallest eps with contains(spec, F, eps), or INFINITE."""
     if F.total_dim() == 0:
         return Fraction(0)
-    if isinstance(spec, Intersection):
-        sizes = [noise_size(part, F) for part in spec.parts]
-        worst = max(sizes)
-        # parts may attain their minima at different eps; re-check at the max
-        if worst != INFINITE and not contains(spec, F, worst):
-            cands = sorted({s for s in sizes if s != INFINITE})
-            for e in cands:
-                if contains(spec, F, e):
-                    return e
-            return INFINITE
-        return worst
+    # membership is monotone in eps and changes only at a candidate; an
+    # intersection's candidates are its parts', so the first one where all
+    # parts hold is the largest part size
     for eps in noise_candidates(spec, F):
         if contains(spec, F, eps):
             return eps
@@ -433,47 +367,36 @@ def _sup_norm(g):
 
 def closed_under_sums(spec, eps) -> bool:
     """Can any two eps-small pieces be summed without leaving level eps?
-    Exact for single rays and for generator families with one common norm
-    whose sum keeps that norm; otherwise decided on the generators' norm-eps
-    representatives and their pairwise joins."""
+    Exact for single directions, for cone generators with one common norm
+    whose sum keeps that norm, and for rationally independent vnorm
+    vectors; otherwise decided on the directions' norm-eps representatives
+    and their pairwise joins."""
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0:
         return True
     if isinstance(spec, ConeNoise):
-        gens = spec.generators
-        if len(gens) == 1:
-            return True
-        norms = [_sup_norm(g) for g in gens]
-        total = tuple(sum(Fraction(g[i]) for g in gens)
+        dirs = spec.generators
+        norms = [_sup_norm(g) for g in dirs]
+        total = tuple(sum(Fraction(g[i]) for g in dirs)
                       for i in range(spec.r))
         if len(set(norms)) == 1 and _sup_norm(total) == norms[0]:
             return True
-        reps = [tuple(eps * Fraction(c) / n for c in g)
-                for g, n in zip(gens, norms)]
-        for a, b in itertools.combinations(reps, 2):
-            join = tuple(max(x, y) for x, y in zip(a, b))
-            cons, nv = _cone_cost_system(gens, join)
-            best = ph.minimize(cons, nv, 0)
-            if best is None or best > eps:
-                return False
-        return True
-    if isinstance(spec, VNormNoise):
-        vecs = spec.vectors
-        if len(vecs) == 1:
+    elif isinstance(spec, VNormNoise):
+        dirs = spec.vectors
+        norms = [1] * len(dirs)
+        if _rationally_independent(dirs):
             return True
-        if _rationally_independent(vecs):
-            return True
-        reps = [tuple(eps * Fraction(c) for c in v) for v in vecs]
-        for a, b in itertools.combinations(reps, 2):
-            join = tuple(max(x, y) for x, y in zip(a, b))
-            cons, nv = _vnorm_cost_system(vecs, join)
-            best = ph.minimize(cons, nv, 0)
-            if best is None or best > eps:
-                return False
-        return True
-    raise UnsupportedNoise("closure test applies to cone-shaped specs")
+    else:
+        raise UnsupportedNoise("closure test applies to cone-shaped specs")
+    reps = [tuple(eps * Fraction(c) / n for c in d)
+            for d, n in zip(dirs, norms)]
+    for a, b in itertools.combinations(reps, 2):
+        cost = offset_cost(spec, tuple(max(x, y) for x, y in zip(a, b)), 1)
+        if cost is None or cost > eps:
+            return False
+    return True
 
 
 def _rationally_independent(vecs):
@@ -521,7 +444,7 @@ def max_noise_submodule(spec, F: GridModule, eps) -> Submodule:
     if isinstance(spec, (ConeNoise, VNormNoise)):
         if not closed_under_sums(spec, eps):
             raise NotClosedUnderSums(f"level {eps}")
-        good, _, corner, corner_ok = _kill_offsets(spec, F, eps)
+        _, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r, eps)
         if not corner_ok:
             raise NotClosedUnderSums(
                 f"offset set at level {eps} has no componentwise maximum")
@@ -531,12 +454,8 @@ def max_noise_submodule(spec, F: GridModule, eps) -> Submodule:
         return Submodule(F, basis)
     if isinstance(spec, DomainNoise):
         boxes = spec.region(eps)
-        cells = {v: (tuple(F.alpha * c for c in v),
-                     tuple(None if c == F.box else F.alpha * (c + 1)
-                           for c in v))
-                 for v in F.points()}
         bad = [v for v in F.points()
-               if F.dims[v] and not _cell_covered(*cells[v], boxes)]
+               if F.dims[v] and not _cell_covered(*_cell(F, v), boxes)]
         basis = {}
         for v in F.points():
             block = None
@@ -599,18 +518,8 @@ def in_ray_union(F: GridModule, rays, eps) -> bool:
     offsets = []
     for g in rays:
         n = _sup_norm(g)
-        w = tuple(eps * Fraction(c) / n for c in g)
-        offsets.append(tuple(int(c / F.alpha) for c in w))
-    for v in F.points():
-        if F.dims[v] == 0:
-            continue
-        mats = [evaluate_map(F, v, add(v, m)) for m in offsets]
-        for x in _elements(F.dims[v], F.p):
-            if not any(x):
-                continue
-            if not any(not any(mat.apply(x)) for mat in mats):
-                return False
-    return True
+        offsets.append(tuple(int(eps * Fraction(c) / n / F.alpha) for c in g))
+    return all(m is not None for _, _, m in _kills(F, offsets))
 
 
 # -- CLI string form -------------------------------------------------------

@@ -90,11 +90,8 @@ def submodules_equal(S: Submodule, T: Submodule) -> bool:
 
 def submodule_contains(S: Submodule, T: Submodule) -> bool:
     """Is span(T) <= span(S) pointwise?"""
-    for v in S.parent.points():
-        joint = S.basis[v].hstack(T.basis[v])
-        if fp.rank(joint) != S.basis[v].cols:
-            return False
-    return True
+    return all(fp.span_contains(S.basis[v], T.basis[v])
+               for v in S.parent.points())
 
 
 def is_closed(S: Submodule) -> bool:
@@ -104,9 +101,7 @@ def is_closed(S: Submodule) -> bool:
             if v[i] == F.box:
                 continue
             w = add(v, unit(i, F.r))
-            pushed = F.edge(v, i) @ S.basis[v]
-            joint = S.basis[w].hstack(pushed)
-            if fp.rank(joint) != S.basis[w].cols:
+            if not fp.span_contains(S.basis[w], F.edge(v, i) @ S.basis[v]):
                 return False
     return True
 

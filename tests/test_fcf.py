@@ -1,10 +1,12 @@
+import itertools
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 
 from pnoise import fcf as fc
-from pnoise import grid, noise as ns, structure as st
+from pnoise import field as fp, grid, noise as ns, structure as st
 from pnoise.errors import NotOneDimensional, UnsupportedNoise
 from pnoise.fcf import (EquivalenceBudget, FeatureCountingFunction,
                         bar_r1, bar_search, bar_zero_check,
@@ -317,6 +319,16 @@ def test_is_interleaved_matches_brute_force():
     assert True in answers and False in answers
 
 
+def test_interleaved_with_itself_past_the_combination_cap():
+    # 3^8 combinations of phi's basis at tau 0: the walk tries only the
+    # basis maps, none of which is the identity
+    F = make_module(1, Q(1), 3, 3, {(0,): 2, (2,): 2})
+    n = len(natural_map_space(F, fc._shift_module(F, (0,))))
+    assert F.p ** n > fc.ORBIT_COMBO_CAP
+    for t in range(3):
+        assert is_interleaved(F, F, (t,))
+
+
 def test_interleaved_two_bars():
     # bars [0,1) and [0,3): interleaving distance 3/2 (half-step lattice)
     box = 7
@@ -325,3 +337,61 @@ def test_interleaved_two_bars():
     assert not is_interleaved(F, G, (2,))   # shift 1
     assert is_interleaved(F, G, (3,))       # shift 3/2
     assert is_interleaved(F, G, (4,))       # shift 2
+
+
+# -- subspace enumeration ----------------------------------------------------
+
+
+def _subspaces_by_growth(p, d):
+    """Every subspace of F_p^d, grown one vector at a time from zero and
+    deduplicated by canonical basis."""
+    zero = fp.column_reduce(Mat.zeros(d, 0, p))
+    seen = {zero.data: zero}
+    frontier = [zero]
+    vectors = [v for v in itertools.product(range(p), repeat=d) if any(v)]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in vectors:
+                if fp.in_span(s, v):
+                    continue
+                bigger = fp.column_reduce(s.hstack(Mat.from_cols([v], d, p)))
+                if bigger.data not in seen:
+                    seen[bigger.data] = bigger
+                    nxt.append(bigger)
+        frontier = nxt
+    return set(seen)
+
+
+def _gaussian_binomial(d, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+CASES = [(2, d) for d in range(6)] + [(3, d) for d in range(4)] + \
+    [(5, d) for d in range(3)]
+
+
+def test_all_subspaces_counts():
+    assert [len(fc._all_subspaces(2, d)) for d in range(6)] == \
+        [1, 2, 5, 16, 67, 374]
+    for p, d in CASES:
+        assert len(fc._all_subspaces(p, d)) == \
+            sum(_gaussian_binomial(d, k, p) for k in range(d + 1))
+
+
+def test_all_subspaces_match_growth_oracle():
+    for p, d in CASES:
+        got = fc._all_subspaces(p, d)
+        assert all(fp.column_reduce(s) == s for s in got)
+        assert {s.data for s in got} == _subspaces_by_growth(p, d)
+
+
+def test_all_subspaces_fast():
+    fc._all_subspaces.cache_clear()
+    start = time.perf_counter()
+    assert len(fc._all_subspaces(2, 6)) == 2825
+    assert time.perf_counter() - start < 1

@@ -5,7 +5,8 @@ import pytest
 
 from pnoise.errors import DependentBasis, Infeasible
 from pnoise.field import (Mat, block_diag, column_reduce, in_span,
-                          kernel_basis, quotient_map, rank, solve)
+                          kernel_basis, quotient_map, rank, solve,
+                          span_contains)
 
 
 def test_rank_identity():
@@ -113,6 +114,16 @@ def test_in_span():
     b = Mat.from_cols([(1, 1, 0)], 3, 2)
     assert in_span(b, (1, 1, 0))
     assert not in_span(b, (1, 0, 0))
+
+
+def test_span_contains_matches_in_span():
+    rng = random.Random(10)
+    for _ in range(40):
+        p = rng.choice((2, 3))
+        basis = column_reduce(_random_mat(rng, p, 3, rng.randrange(4)))
+        other = _random_mat(rng, p, 3, rng.randrange(3))
+        assert span_contains(basis, other) == \
+            all(in_span(basis, c) for c in other.columns())
 
 
 def test_block_diag_and_apply():

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import grid, noise, structure as st
+from pnoise import grid, noise, polyhedra as ph, structure as st
 from pnoise.errors import NotClosedUnderSums, ParseError, UnsupportedNoise
 from pnoise.field import Mat
 from pnoise.grid import (Bar, GridModule, direct_sum, make_bar, make_free,
@@ -382,6 +383,180 @@ def test_list_built_specs_work_under_the_memo():
         assert noise_size(spec, F) == 2
         assert noise_size(kind([[1, 1]]), make_bar(
             Bar((0, 0), (1, 3)), 3, Q(1), 2, 2)) == 3
+
+
+def test_kill_offsets_memoised_per_shape():
+    noise._kill_offsets.cache_clear()
+    F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
+    G = make_bar(Bar((1,), (2,)), 4, Q(1), 2)     # same (alpha, box, r)
+    assert contains(RAY1, F, Q(2))
+    assert noise._kill_offsets.cache_info().misses == 1
+    assert contains(RAY1, G, Q(2))
+    assert noise._kill_offsets.cache_info().misses == 1
+
+
+# -- the witness system against the hand-built systems it replaced ---------
+
+
+def _oracle_cone_cost_system(gens, target):
+    ng, r = len(gens), len(gens[0])
+    cons = []
+    for j in range(ng):
+        cons.append((tuple(-1 if k == j + 1 else 0 for k in range(ng + 1)),
+                     Q(0), False))
+    for i in range(r):
+        row = [Q(0)] * (ng + 1)
+        for j, g in enumerate(gens):
+            row[j + 1] = -Q(g[i])
+        cons.append((tuple(row), -Q(target[i]), False))
+        row2 = [Q(0)] * (ng + 1)
+        row2[0] = Q(-1)
+        for j, g in enumerate(gens):
+            row2[j + 1] = Q(g[i])
+        cons.append((tuple(row2), Q(0), False))
+    return cons, ng + 1
+
+
+def _oracle_vnorm_cost_system(vecs, target):
+    ng, r = len(vecs), len(vecs[0])
+    cons = []
+    for j in range(ng):
+        cons.append((tuple(-1 if k == j + 1 else 0 for k in range(ng + 1)),
+                     Q(0), False))
+        row = [Q(0)] * (ng + 1)
+        row[0], row[j + 1] = Q(-1), Q(1)
+        cons.append((tuple(row), Q(0), False))
+    for i in range(r):
+        row = [Q(0)] * (ng + 1)
+        for j, g in enumerate(vecs):
+            row[j + 1] = -Q(g[i])
+        cons.append((tuple(row), -Q(target[i]), False))
+    return cons, ng + 1
+
+
+def _oracle_min_norm(spec, target):
+    if isinstance(spec, ConeNoise):
+        cons, nv = _oracle_cone_cost_system(spec.generators, target)
+    else:
+        cons, nv = _oracle_vnorm_cost_system(spec.vectors, target)
+    return ph.minimize(cons, nv, 0)
+
+
+def _oracle_feasible_offsets(spec, eps, alpha, r):
+    if eps == 0:
+        return {(0,) * r}
+    top = -(-eps.numerator * alpha.denominator
+            // (eps.denominator * alpha.numerator))
+    out = set()
+    cone = isinstance(spec, ConeNoise)
+    dirs = spec.generators if cone else spec.vectors
+    ng = len(dirs)
+    for m in grid.box_points(r, top):
+        for k in range(max(r, ng)):
+            cons = []
+            for j in range(ng):
+                cons.append((tuple(-1 if t == j else 0 for t in range(ng)),
+                             Q(0), False))
+            for i in range(r):
+                row = tuple(-Q(g[i]) for g in dirs)
+                cons.append((row, -alpha * m[i], False))
+                cons.append((tuple(-c for c in row), alpha * (m[i] + 1), True))
+            if cone:
+                if k >= r:
+                    continue
+                for i in range(r):
+                    cons.append((tuple(Q(g[i]) for g in dirs), eps, False))
+                cons.append((tuple(-Q(g[k]) for g in dirs), -eps, False))
+            else:
+                if k >= ng:
+                    continue
+                for j in range(ng):
+                    cons.append((tuple(1 if t == j else 0 for t in range(ng)),
+                                 eps, False))
+                cons.append((tuple(-1 if t == k else 0 for t in range(ng)),
+                             -eps, False))
+            if ph.feasible(cons, ng):
+                out.add(m)
+                break
+    return out
+
+
+def _oracle_closed_under_sums(spec, eps):
+    cone = isinstance(spec, ConeNoise)
+    dirs = spec.generators if cone else spec.vectors
+    if len(dirs) == 1:
+        return True
+    if cone:
+        norms = [max(g) for g in dirs]
+        total = tuple(sum(g[i] for g in dirs) for i in range(spec.r))
+        if len(set(norms)) == 1 and max(total) == norms[0]:
+            return True
+    else:
+        norms = [1] * len(dirs)
+        if noise._rationally_independent(dirs):
+            return True
+    reps = [tuple(eps * c / n for c in g) for g, n in zip(dirs, norms)]
+    for a, b in itertools.combinations(reps, 2):
+        best = _oracle_min_norm(spec, tuple(map(max, a, b)))
+        if best is None or best > eps:
+            return False
+    return True
+
+
+def _random_cone_shaped_specs(seed, n=100):
+    rng = random.Random(seed)
+    entries = (Q(0), Q(1, 2), Q(1), Q(2))
+    specs = []
+    while len(specs) < n:
+        r, k = rng.randint(1, 3), rng.randint(1, 3)
+        dirs = [tuple(rng.choice(entries) for _ in range(r))
+                for _ in range(k)]
+        if any(not any(d) for d in dirs):
+            continue
+        specs.append(rng.choice((ConeNoise, VNormNoise))(tuple(dirs)))
+    return specs
+
+
+def test_offset_cost_matches_hand_built_systems():
+    for spec in _random_cone_shaped_specs(41):
+        for alpha in (Q(1), Q(1, 2)):
+            for m in grid.box_points(spec.r, 3):
+                want = _oracle_min_norm(spec, tuple(alpha * c for c in m))
+                assert noise.offset_cost(spec, m, alpha) == want, (spec, m)
+
+
+def test_feasible_offsets_match_hand_built_systems():
+    for spec in _random_cone_shaped_specs(42):
+        for eps in (Q(1, 2), Q(1), Q(3, 2)):
+            assert feasible_offsets(spec, eps, Q(1), spec.r) == \
+                _oracle_feasible_offsets(spec, eps, Q(1), spec.r), (spec, eps)
+
+
+def test_closed_under_sums_matches_hand_built_systems():
+    answers = []
+    for spec in _random_cone_shaped_specs(43):
+        for eps in (Q(1), Q(2)):
+            got = closed_under_sums(spec, eps)
+            assert got == _oracle_closed_under_sums(spec, eps), (spec, eps)
+            answers.append(got)
+    assert True in answers and False in answers
+
+
+def test_intersection_size_is_largest_part():
+    rng = random.Random(44)
+    line_parts = (RAY1, VNormNoise(((Q(2),),)),
+                  DimensionNoise(((Q(0), 0), (Q(1), 1), (Q(2), 2))),
+                  DomainNoise(((Q(1), (((Q(0),), (Q(2),)),)),
+                               (Q(3), (((Q(0),), (Q(4),)),)))))
+    plane_parts = (DIAG2, VNormNoise(((Q(1), Q(0)), (Q(0), Q(1)))),
+                   DimensionNoise(((Q(0), 0), (Q(1), 1), (Q(2), 2))))
+    for _ in range(12):
+        for F, parts in ((random_line_module(rng, box=3, p=2), line_parts),
+                         (random_sum_module(rng, r=2, box=2, summands=2),
+                          plane_parts)):
+            chosen = rng.sample(parts, rng.randint(2, len(parts)))
+            want = max(noise_size(part, F) for part in chosen)
+            assert noise_size(Intersection(tuple(chosen)), F) == want
 
 
 # -- parsing ---------------------------------------------------------------
