@@ -62,7 +62,7 @@ class NotClosedUnderSums(PnoiseError):
 
 
 class SearchSpaceTooLarge(PnoiseError):
-    """Exhaustive submodule search exceeds the configured dimension cap."""
+    """Exhaustive submodule search exceeds its work cap."""
 
 
 class UnsupportedNoise(PnoiseError):

@@ -5,9 +5,12 @@ bar(F)_t asks for the smallest rank among subfunctors whose inclusion
 cokernel is quieter than t. Two engines answer it: an exhaustive walk over
 all closed submodules (exact, capped), and a generator-orbit search over
 spans of shifted minimal generators (upper bound). Every search, here and
-in denoising, scores a candidate S through `score`: the rank of S and the
-noise size of F/S. The one-parameter case has a closed form through the
-barcode.
+in denoising, scores a candidate S with one `noise.QuotientScorer` per
+(spec, F), which reads the noise size of F/S off S's bases by the kill rule
+(every x in F(v) is carried into S(v+m) by a quiet offset m) without
+building F/S. The exhaustive walk counts rank(S) as it descends; the other
+searches take it from `structure.submodule_rank`. The one-parameter case
+has a closed form through the barcode.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .field import Mat
 from .grid import GridModule, add, clip, evaluate_map, modules_equal, unit
 from .noise import INFINITE
 
-EXHAUSTIVE_DIM_CAP = 24
+EXHAUSTIVE_WORK_CAP = 2 ** 17  # product over points of subspace counts
 ORBIT_COMBO_CAP = 2 ** 12
 
 
@@ -185,39 +188,56 @@ def _all_subspaces(p, d):
     return tuple(out)
 
 
+def _subspace_count(p, d):
+    """Number of subspaces of F_p^d: the sum over k of the Gaussian
+    binomials [d choose k]_p."""
+    total = 0
+    for k in range(d + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (d - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
 def _enumerate_submodules(F: GridModule):
-    """Yield every closed submodule as a dict point -> canonical basis."""
+    """Yield (rank, basis) for every closed submodule, basis a dict point ->
+    canonical basis. The rank adds dim S(v) minus the rank of the images of
+    S at v's predecessors, counted once per node of the walk."""
     pts = st.order(F.points())
     choices = {v: _all_subspaces(F.p, F.dims[v]) for v in pts}
 
-    def walk(k, assign):
+    def walk(k, assign, rank):
         if k == len(pts):
-            yield dict(assign)
+            yield rank, dict(assign)
             return
         v = pts[k]
         pushed = st.predecessor_images(F, v, assign)
+        base = fp.rank(pushed)
         for s in choices[v]:
-            if fp.span_contains(s, pushed):
+            if s.cols >= base and fp.span_contains(s, pushed):
                 assign[v] = s
-                yield from walk(k + 1, assign)
+                yield from walk(k + 1, assign, rank + s.cols - base)
 
-    yield from walk(0, {})
-
-
-def score(spec, F: GridModule, S: st.Submodule):
-    """(rank of S, noise size of F/S) for a closed submodule S of F."""
-    C, _ = st.quotient_by_submodule(F, S)
-    return st.submodule_rank(S), ns.noise_size(spec, C)
+    yield from walk(0, {}, 0)
 
 
 def _scored_submodules(spec, F: GridModule):
-    """Yield (rank, sigma, S) for every closed submodule S of F."""
-    if F.total_dim() > EXHAUSTIVE_DIM_CAP:
+    """Yield (rank, sigma, S) for every closed submodule S of F, sigma the
+    noise size of F/S. The walk visits at most the product over points of
+    their subspace counts, which is capped before any work is done."""
+    work = 1
+    for d in F.dims.values():
+        work *= _subspace_count(F.p, d)
+    if work > EXHAUSTIVE_WORK_CAP:
         raise SearchSpaceTooLarge(
-            f"total dimension {F.total_dim()} exceeds {EXHAUSTIVE_DIM_CAP}")
-    for basis in _enumerate_submodules(F):
+            f"{work} combinations of pointwise subspaces exceed the cap "
+            f"{EXHAUSTIVE_WORK_CAP}")
+    sigma = ns.QuotientScorer(spec, F)
+    for rank, basis in _enumerate_submodules(F):
         S = st.Submodule(F, basis)
-        yield (*score(spec, F, S), S)
+        yield rank, sigma(S), S
 
 
 # -- generator orbit search ------------------------------------------------
@@ -265,6 +285,7 @@ def _orbit_value(spec, F: GridModule, t):
     if ns.noise_size(spec, F) < t:
         return 0, None
     pool = _orbit_pool(spec, F, t)
+    sigma = ns.QuotientScorer(spec, F)
     budget = ORBIT_COMBO_CAP
     for k in range(1, full_rank):
         tried = 0
@@ -273,9 +294,10 @@ def _orbit_value(spec, F: GridModule, t):
             if tried > budget:
                 break
             S = st.span_submodule(F, [pool[i] for i in subset])
-            rank, sigma = score(spec, F, S)
-            if sigma < t and rank <= k:
-                return rank, S
+            if sigma(S) < t:
+                rank = st.submodule_rank(S)
+                if rank <= k:
+                    return rank, S
     return full_rank, st.full_submodule(F)
 
 

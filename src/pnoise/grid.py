@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import field as fp
@@ -54,8 +54,17 @@ class GridModule:
     alpha: Fraction
     box: int
     p: int
-    dims: dict = field(compare=False)           # point -> dim
-    edges: dict = field(compare=False)          # (point, axis) -> Mat
+    dims: dict           # point -> dim
+    edges: dict          # (point, axis) -> Mat
+
+    def __eq__(self, other):
+        if not isinstance(other, GridModule):
+            return NotImplemented
+        return modules_equal(self, other)
+
+    def __hash__(self):
+        # equal modules share their shape; the dicts are not hashable
+        return hash((self.r, self.alpha, self.box, self.p))
 
     def dim(self, v):
         return self.dims[clip(v, self.box)]

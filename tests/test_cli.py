@@ -6,6 +6,9 @@ import pytest
 
 from pnoise import gallery as ga
 from pnoise.cli import main
+from pnoise.fcf import EXHAUSTIVE_WORK_CAP
+from pnoise.field import Mat
+from pnoise.grid import make_module
 from pnoise.modfile import write_module
 
 
@@ -100,6 +103,20 @@ def test_fcf_range_over_cap_exits_at_once(line_file, capsys):
     e = stderr_json(capsys)
     assert e["code"] == "resource" and e["location"] == "--t"
     assert "1000000000001 points, cap 10000" in e["message"]
+
+
+def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
+    # total dimension 12, but 2825 subspaces at each of the two points
+    big = tmp_path / "big.mod"
+    big.write_text(write_module(make_module(
+        1, Q(1), 1, 2, {(0,): 6, (1,): 6}, {((0,), 0): Mat.identity(6, 2)})))
+    t0 = time.perf_counter()
+    assert main(["fcf", str(big), "--noise", "vnorm:1", "--t", "1"]) == 4
+    assert time.perf_counter() - t0 < 1
+    e = stderr_json(capsys)
+    assert e["code"] == "resource"
+    assert f"{2825 ** 2} " in e["message"]
+    assert str(EXHAUSTIVE_WORK_CAP) in e["message"]
 
 
 def test_fcf_bad_noise(line_file, capsys):

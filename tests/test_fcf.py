@@ -6,8 +6,10 @@ from fractions import Fraction as Q
 import pytest
 
 from pnoise import fcf as fc
-from pnoise import field as fp, grid, noise as ns, structure as st
-from pnoise.errors import NotOneDimensional, UnsupportedNoise
+from pnoise import field as fp, gallery as ga, grid, noise as ns
+from pnoise import structure as st
+from pnoise.errors import (ElementEnumerationTooLarge, NotOneDimensional,
+                           SearchSpaceTooLarge, UnsupportedNoise)
 from pnoise.fcf import (EquivalenceBudget, FeatureCountingFunction,
                         bar_r1, bar_search, bar_zero_check,
                         closeness_upper_bound, constant_fcf,
@@ -19,7 +21,7 @@ from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
                          zero_module)
 from pnoise.noise import INFINITE, ConeNoise
 
-from conftest import random_line_module
+from conftest import random_line_module, random_sum_module
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -231,6 +233,101 @@ def test_epi_domination():
         assert bf.value(t) >= bq.value(t)
 
 
+# -- scoring without quotients ----------------------------------------------
+
+
+NO_CORNER3 = ConeNoise(((1, 1, 0), (1, 0, 1)))
+
+
+def _quotient_size(spec, F, S):
+    """The slow path the scorer replaces: build F/S and size it."""
+    return ns.noise_size(spec, st.quotient_by_submodule(F, S)[0])
+
+
+def _check_scorer_and_walk(spec, F):
+    """The scorer's size and the walk's rank against the slow paths, on
+    every closed submodule of F; returns how many sizes were infinite."""
+    sigma = ns.QuotientScorer(spec, F)
+    infinite = 0
+    for rank, basis in fc._enumerate_submodules(F):
+        S = st.Submodule(F, basis)
+        size = sigma(S)
+        assert size == _quotient_size(spec, F, S), (spec, F.dims, basis)
+        assert rank == st.submodule_rank(S), (F.dims, basis)
+        infinite += size == INFINITE
+    return infinite
+
+
+def test_scorer_matches_quotient_sizes_r1():
+    rng = random.Random(31)
+    specs = (RAY1, ConeNoise(((2,),)), ns.VNormNoise(((Q(1, 2),),)))
+    for p in (2, 3):
+        for _ in range(25):
+            F = random_line_module(rng, box=rng.randrange(1, 6), p=p,
+                                   maxdim=2, total_cap=7 if p == 2 else 5)
+            for spec in specs:
+                _check_scorer_and_walk(spec, F)
+
+
+def test_scorer_matches_quotient_sizes_r2_r3():
+    # cones containing the diagonal cost offsets by their sup norm, so
+    # every r=2 level has a quiet corner; the r=3 cone has levels without
+    # one and runs the kill test on quotient classes
+    assert not ns._kill_offsets(NO_CORNER3, Q(1), 1, 3, Q(1))[2]
+    rng = random.Random(32)
+    infinite = 0
+    specs = (DIAG2, ConeNoise(((1, 2), (2, 1))), ns.VNormNoise(((1, 0),
+                                                              (0, 1))))
+    for _ in range(6):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        for spec in specs:
+            infinite += _check_scorer_and_walk(spec, F)
+    for _ in range(10):
+        F = random_sum_module(rng, r=3, box=1, p=2, summands=2)
+        infinite += _check_scorer_and_walk(NO_CORNER3, F)
+    assert infinite > 0
+
+
+def test_scorer_element_cap_counts_quotient_classes():
+    # r=3 and no quiet corner at level 1: the kill test enumerates F(v)/S(v)
+    F = make_module(3, Q(1), 1, 2, {(0, 0, 0): 17})
+    S = st.zero_submodule(F)
+    with pytest.raises(ElementEnumerationTooLarge):
+        _quotient_size(NO_CORNER3, F, S)
+    with pytest.raises(ElementEnumerationTooLarge):
+        ns.QuotientScorer(NO_CORNER3, F)(S)
+    # a one-dimensional quotient of the same point is scored, not refused
+    S = st.span_submodule(F, [((0, 0, 0), tuple(int(i == j)
+                                                for i in range(17)))
+                              for j in range(16)])
+    assert ns.QuotientScorer(NO_CORNER3, F)(S) == \
+        _quotient_size(NO_CORNER3, F, S) == 1
+    # r=1 always has a quiet corner: no element is enumerated in either path
+    F = make_module(1, Q(1), 1, 2, {(0,): 17})
+    S = st.zero_submodule(F)
+    assert ns.QuotientScorer(RAY1, F)(S) == _quotient_size(RAY1, F, S) == 1
+
+
+def test_searches_build_no_quotient(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a quotient was built while scoring")
+
+    F1 = random_line_module(random.Random(33), box=3, p=2, maxdim=2)
+    monkeypatch.setattr(st, "cokernel", refuse)
+    for spec, F in ((DIAG2, ga.hook_module()), (RAY1, F1)):
+        for engine in ("exhaustive", "orbit"):
+            bar_search(spec, F, [Q(1), Q(2)], engine=engine)
+            fc.minimal_rank_submodule(spec, F, Q(2), engine=engine)
+
+
+def test_work_cap_refuses_before_walking():
+    F = make_module(1, Q(1), 1, 2, {(0,): 6, (1,): 6},
+                    {((0,), 0): Mat.identity(6, 2)})
+    with pytest.raises(SearchSpaceTooLarge, match=f"{2825 ** 2} .* "
+                       f"{fc.EXHAUSTIVE_WORK_CAP}"):
+        bar_search(ns.VNormNoise(((1,),)), F, [Q(1)])
+
+
 # -- natural maps, closeness, interleavings --------------------------------
 
 
@@ -379,7 +476,7 @@ def test_all_subspaces_counts():
     assert [len(fc._all_subspaces(2, d)) for d in range(6)] == \
         [1, 2, 5, 16, 67, 374]
     for p, d in CASES:
-        assert len(fc._all_subspaces(p, d)) == \
+        assert len(fc._all_subspaces(p, d)) == fc._subspace_count(p, d) == \
             sum(_gaussian_binomial(d, k, p) for k in range(d + 1))
 
 

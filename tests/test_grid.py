@@ -73,6 +73,18 @@ def test_direct_sum_zero():
     assert modules_equal(direct_sum(F, Z), F)
 
 
+def test_equality_compares_dims_and_edges():
+    one = Mat.identity(1, 2)
+    F = make_module(1, Q(1), 1, 2, {(0,): 1, (1,): 1}, {((0,), 0): one})
+    G = make_module(1, Q(1), 1, 2, {(1,): 2})
+    assert F != G and hash(F) == hash(G)
+    H = make_module(1, Q(1), 1, 2, {(0,): 1, (1,): 1},
+                    {((0,), 0): Mat.zeros(1, 1, 2)})
+    assert F != H
+    assert F == make_module(1, Q(1), 1, 2, {(0,): 1, (1,): 1},
+                            {((0,), 0): one})
+
+
 def test_direct_sum_dims():
     b = make_bar(Bar((0,), (1,)), 3, Q(1), 2)
     s = direct_sum(b, b)
