@@ -58,14 +58,15 @@ def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
     """Greedy inclusion-minimization: drop redundant generators, then push
     surviving generators forward along axes while the span stays valid."""
     seeds = _seeds_of(S)
-    sigma = ns.QuotientScorer(spec, F)
+    scorer = ns.QuotientScorer(spec, F)
     changed = True
     while changed:
         changed = False
         for k in range(len(seeds)):
             trial = seeds[:k] + seeds[k + 1:]
             S2 = st.span_submodule(F, trial)
-            if sigma(S2) < t and st.submodule_rank(S2) >= rank:
+            if ns.quotient_size(scorer, S2) < t and \
+                    st.submodule_rank(S2) >= rank:
                 seeds, S, changed = trial, S2, True
                 break
         if changed:
@@ -82,7 +83,8 @@ def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
                 S2 = st.span_submodule(F, trial)
                 if st.submodules_equal(S2, S):
                     continue
-                if sigma(S2) >= t or st.submodule_rank(S2) != rank:
+                if ns.quotient_size(scorer, S2) >= t or \
+                        st.submodule_rank(S2) != rank:
                     continue
                 seeds, S, changed = trial, S2, True
                 break

@@ -62,7 +62,8 @@ class NotClosedUnderSums(PnoiseError):
 
 
 class SearchSpaceTooLarge(PnoiseError):
-    """Exhaustive submodule search exceeds its work cap."""
+    """Exhaustive submodule search would score more closed submodules than
+    its cap allows; raised before any is scored."""
 
 
 class UnsupportedNoise(PnoiseError):

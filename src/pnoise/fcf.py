@@ -3,14 +3,15 @@ equivalence budgets of natural maps, and the minimal-rank invariant bar(F).
 
 bar(F)_t asks for the smallest rank among subfunctors whose inclusion
 cokernel is quieter than t. Two engines answer it: an exhaustive walk over
-all closed submodules (exact, capped), and a generator-orbit search over
-spans of shifted minimal generators (upper bound). Every search, here and
-in denoising, scores a candidate S with one `noise.QuotientScorer` per
-(spec, F), which reads the noise size of F/S off S's bases by the kill rule
-(every x in F(v) is carried into S(v+m) by a quiet offset m) without
-building F/S. The exhaustive walk counts rank(S) as it descends; the other
-searches take it from `structure.submodule_rank`. The one-parameter case
-has a closed form through the barcode.
+all closed submodules (exact, capped by their number), and a
+generator-orbit search over spans of shifted minimal generators (upper
+bound). Every search, here and in denoising, builds one
+`noise.QuotientScorer` per (spec, F) and sizes each candidate S with
+`noise.quotient_size`, which reads the noise size of F/S off S's bases by
+the kill rule (every x in F(v) is carried into S(v+m) by a quiet offset m)
+without building F/S. The exhaustive walk counts rank(S) as it descends;
+the other searches take it from `structure.submodule_rank`. The
+one-parameter case has a closed form through the barcode.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .field import Mat
 from .grid import GridModule, add, clip, evaluate_map, modules_equal, unit
 from .noise import INFINITE
 
-EXHAUSTIVE_WORK_CAP = 2 ** 17  # product over points of subspace counts
+EXHAUSTIVE_WORK_CAP = 2 ** 15  # closed submodules the exhaustive walk scores
 ORBIT_COMBO_CAP = 2 ** 12
 
 
@@ -201,43 +202,77 @@ def _subspace_count(p, d):
     return total
 
 
+def _subspace_key(B: Mat):
+    """The position of a canonical basis in `_all_subspaces` order: its
+    dimension, its pivot rows, then the entries that order enumerates."""
+    pivots = fp.pivot_rows(B)
+    return (B.cols, pivots, tuple(B.data[j][i] for i, pv in enumerate(pivots)
+                                  for j in range(pv + 1, B.rows)
+                                  if j not in pivots))
+
+
+def _superspaces(U: Mat):
+    """Canonical bases of the subspaces of F_p^d that contain colspan(U), U
+    canonical, in `_all_subspaces` order: each subspace of the quotient,
+    written on the rows off U's pivots, joined to U."""
+    d, p = U.rows, U.p
+    if U.cols == 0:
+        return _all_subspaces(p, d)
+    pivots = fp.pivot_rows(U)
+    free = [i for i in range(d) if i not in pivots]
+    out = []
+    for Q in _all_subspaces(p, len(free)):
+        rows = dict(zip(free, Q.data))
+        lift = Mat(p, d, Q.cols, tuple(rows.get(i, (0,) * Q.cols)
+                                       for i in range(d)))
+        out.append(fp.column_reduce(U.hstack(lift)))
+    return sorted(out, key=_subspace_key)
+
+
+def _images_at(F: GridModule, v, layer):
+    """For each partial choice (rank, assign) of S before v: the canonical
+    basis of the images of S's predecessors in F(v), with the rank less its
+    dimension. Every subspace of F(v) containing those images completes to
+    at least one closed submodule, so their number, summed over the layer,
+    is capped before any is chosen."""
+    out, total = [], 0
+    for rank, assign in layer:
+        pushed = fp.column_reduce(st.predecessor_images(F, v, assign))
+        total += _subspace_count(F.p, F.dims[v] - pushed.cols)
+        if total > EXHAUSTIVE_WORK_CAP:
+            raise SearchSpaceTooLarge(
+                f"at least {total} closed submodules, over the cap "
+                f"{EXHAUSTIVE_WORK_CAP}")
+        out.append((rank - pushed.cols, assign, pushed))
+    return out
+
+
 def _enumerate_submodules(F: GridModule):
     """Yield (rank, basis) for every closed submodule, basis a dict point ->
-    canonical basis. The rank adds dim S(v) minus the rank of the images of
-    S at v's predecessors, counted once per node of the walk."""
-    pts = st.order(F.points())
-    choices = {v: _all_subspaces(F.p, F.dims[v]) for v in pts}
-
-    def walk(k, assign, rank):
-        if k == len(pts):
-            yield rank, dict(assign)
-            return
-        v = pts[k]
-        pushed = st.predecessor_images(F, v, assign)
-        base = fp.rank(pushed)
-        for s in choices[v]:
-            if s.cols >= base and fp.span_contains(s, pushed):
-                assign[v] = s
-                yield from walk(k + 1, assign, rank + s.cols - base)
-
-    yield from walk(0, {}, 0)
+    canonical basis, once they are known to number at most
+    EXHAUSTIVE_WORK_CAP. S is fixed point by point along `order`, one layer
+    of partial choices per point; at v the choices are the subspaces that
+    contain the images of S's predecessors, and the rank gains dim S(v)
+    minus their dimension. The choices at the last point are counted
+    before the first submodule is yielded."""
+    *head, last = st.order(F.points())
+    layer = [(0, {})]
+    for v in head:
+        layer = [(rank + s.cols, {**assign, v: s})
+                 for rank, assign, pushed in _images_at(F, v, layer)
+                 for s in _superspaces(pushed)]
+    for rank, assign, pushed in _images_at(F, last, layer):
+        for s in _superspaces(pushed):
+            yield rank + s.cols, {**assign, last: s}
 
 
 def _scored_submodules(spec, F: GridModule):
     """Yield (rank, sigma, S) for every closed submodule S of F, sigma the
-    noise size of F/S. The walk visits at most the product over points of
-    their subspace counts, which is capped before any work is done."""
-    work = 1
-    for d in F.dims.values():
-        work *= _subspace_count(F.p, d)
-    if work > EXHAUSTIVE_WORK_CAP:
-        raise SearchSpaceTooLarge(
-            f"{work} combinations of pointwise subspaces exceed the cap "
-            f"{EXHAUSTIVE_WORK_CAP}")
-    sigma = ns.QuotientScorer(spec, F)
+    noise size of F/S."""
+    scorer = ns.QuotientScorer(spec, F)
     for rank, basis in _enumerate_submodules(F):
         S = st.Submodule(F, basis)
-        yield rank, sigma(S), S
+        yield rank, ns.quotient_size(scorer, S), S
 
 
 # -- generator orbit search ------------------------------------------------
@@ -285,7 +320,7 @@ def _orbit_value(spec, F: GridModule, t):
     if ns.noise_size(spec, F) < t:
         return 0, None
     pool = _orbit_pool(spec, F, t)
-    sigma = ns.QuotientScorer(spec, F)
+    scorer = ns.QuotientScorer(spec, F)
     budget = ORBIT_COMBO_CAP
     for k in range(1, full_rank):
         tried = 0
@@ -294,7 +329,7 @@ def _orbit_value(spec, F: GridModule, t):
             if tried > budget:
                 break
             S = st.span_submodule(F, [pool[i] for i in subset])
-            if sigma(S) < t:
+            if ns.quotient_size(scorer, S) < t:
                 rank = st.submodule_rank(S)
                 if rank <= k:
                     return rank, S

@@ -229,10 +229,29 @@ def quotient_map(sub_basis: Mat, ambient_dim: int) -> Mat:
     return q
 
 
+def pivot_rows(basis: Mat) -> list:
+    """The pivot row of each column of a canonical basis (column_reduce
+    form): its first nonzero entry, which is 1 and the only nonzero entry
+    of that row."""
+    return [next(i for i, row in enumerate(basis.data) if row[j])
+            for j in range(basis.cols)]
+
+
+def residue(basis: Mat, other: Mat) -> Mat:
+    """other minus its component along colspan(basis), for a canonical
+    basis: the component is read off the pivot rows, so other @ x lies in
+    colspan(basis) exactly when residue(basis, other) @ x is zero."""
+    if basis.cols == 0:
+        return other
+    top = Mat(other.p, basis.cols, other.cols,
+              tuple(other.data[i] for i in pivot_rows(basis)))
+    return other + -(basis @ top)
+
+
 def span_contains(basis: Mat, other: Mat) -> bool:
-    """Is colspan(other) inside colspan(basis)? basis must have independent
-    columns, so its rank is its column count."""
-    return other.cols == 0 or rank(basis.hstack(other)) == basis.cols
+    """Is colspan(other) inside colspan(basis)? basis must be canonical
+    (column_reduce form); no elimination is done."""
+    return residue(basis, other).is_zero()
 
 
 def in_span(basis: Mat, vec) -> bool:

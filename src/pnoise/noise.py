@@ -15,10 +15,11 @@ offsets and the closure-under-sums test all start from it. Membership,
 certificates and the union-of-rays helper share one loop that looks for a
 killing offset of each nonzero element.
 
-`QuotientScorer` applies the same kill rule to a quotient F/S without
+`quotient_size` applies the same kill rule to a quotient F/S without
 building it: x in F(v) dies in F/S along m when F(v <= v+m)x lies in
-S(v+m). It is built once per (spec, F) and scores every candidate S of a
-submodule search.
+S(v+m). A submodule search builds one `QuotientScorer` per (spec, F), which
+holds the levels and the maps F(v <= w), and sizes every candidate S with
+it.
 """
 
 from __future__ import annotations
@@ -363,24 +364,48 @@ def noise_size(spec, F: GridModule):
     return INFINITE
 
 
-def _pivot_rows(B: Mat):
-    """The pivot row of each column of a canonical (column-reduced) basis."""
-    return [next(i for i, row in enumerate(B.data) if row[j])
-            for j in range(B.cols)]
-
-
-def _residue(B: Mat, A: Mat) -> Mat:
-    """A minus its part in colspan(B), for a canonical basis B: the
-    component along B is read off B's pivot rows, so A @ x lies in
-    colspan(B) exactly when _residue(B, A) @ x is zero."""
-    if B.cols == 0:
-        return A
-    top = Mat(A.p, B.cols, A.cols, tuple(A.data[i] for i in _pivot_rows(B)))
-    return A + -(B @ top)
-
-
 class QuotientScorer:
-    """noise_size(spec, F/S) for the closed submodules S of one module F,
+    """What `quotient_size` needs of one cone-shaped spec and one module F:
+    the levels where membership can change, and a lazily filled table of
+    the maps F(v <= w), computed once per search."""
+
+    def __init__(self, spec, F: GridModule):
+        self.spec, self.F = spec, F
+        self.levels = noise_candidates(spec, F)
+        self._paths = {}
+
+    def path(self, v, m):
+        """(w, F(v <= w)) for w = v+m clipped to the box."""
+        hit = self._paths.get((v, m))
+        if hit is None:
+            w = clip(add(v, m), self.F.box)
+            hit = self._paths[(v, m)] = (w, evaluate_map(self.F, v, w))
+        return hit
+
+
+def _point_within(scorer: QuotientScorer, S: Submodule, v, eps):
+    """Is the point v of F/S within level eps?"""
+    F = scorer.F
+    maximal, corner, corner_ok = _kill_offsets(scorer.spec, F.alpha, F.box,
+                                               F.r, eps)
+    if corner_ok:
+        w, A = scorer.path(v, corner)
+        return fp.span_contains(S.basis[w], A)
+    pivots = fp.pivot_rows(S.basis[v])
+    free = [i for i in range(F.dims[v]) if i not in pivots]
+    classes = _elements(len(free), F.p)
+    residues = []
+    for m in maximal:
+        w, A = scorer.path(v, m)
+        R = fp.residue(S.basis[w], A)
+        residues.append(Mat(F.p, R.rows, len(free), tuple(
+            tuple(row[i] for i in free) for row in R.data)))
+    return all(any(not any(R.apply(x)) for R in residues)
+               for x in classes if any(x))
+
+
+def quotient_size(scorer: QuotientScorer, S: Submodule):
+    """noise_size(spec, F/S) for a closed submodule S of the scorer's F,
     read off S's canonical bases with no quotient built.
 
     A point v of F/S lies within level eps when every x in F(v) is carried
@@ -390,56 +415,17 @@ class QuotientScorer:
     class of F(v)/S(v), the vectors supported on the non-pivot rows of
     S(v)'s basis, so ELEMENT_CAP sees the dimension of the quotient. The
     test is monotone in eps, so the size is found by one ascending walk of
-    the levels across the points. The maps F(v <= w) are computed once per
-    scorer."""
-
-    def __init__(self, spec, F: GridModule):
-        if not isinstance(spec, (ConeNoise, VNormNoise)):
-            raise UnsupportedNoise(
-                "quotient scoring applies to cone-shaped specs")
-        self.spec, self.F = spec, F
-        self.levels = noise_candidates(spec, F)
-        self._paths = {}
-
-    def _path(self, v, m):
-        """(w, F(v <= w)) for w = v+m clipped to the box."""
-        hit = self._paths.get((v, m))
-        if hit is None:
-            w = clip(add(v, m), self.F.box)
-            hit = self._paths[(v, m)] = (w, evaluate_map(self.F, v, w))
-        return hit
-
-    def _holds(self, S: Submodule, v, eps):
-        """Is the point v of F/S within level eps?"""
-        F = self.F
-        maximal, corner, corner_ok = _kill_offsets(self.spec, F.alpha, F.box,
-                                                   F.r, eps)
-        if corner_ok:
-            w, A = self._path(v, corner)
-            return _residue(S.basis[w], A).is_zero()
-        pivots = _pivot_rows(S.basis[v])
-        free = [i for i in range(F.dims[v]) if i not in pivots]
-        classes = _elements(len(free), F.p)
-        residues = []
-        for m in maximal:
-            w, A = self._path(v, m)
-            R = _residue(S.basis[w], A)
-            residues.append(Mat(F.p, R.rows, len(free), tuple(
-                tuple(row[i] for i in free) for row in R.data)))
-        return all(any(not any(R.apply(x)) for R in residues)
-                   for x in classes if any(x))
-
-    def __call__(self, S: Submodule):
-        F = self.F
-        k = 0
-        for v in F.points():
-            if S.basis[v].cols == F.dims[v]:
-                continue
-            while not self._holds(S, v, self.levels[k]):
-                k += 1
-                if k == len(self.levels):
-                    return INFINITE
-        return self.levels[k]   # levels[0] is 0, the cost of no shift
+    the levels across the points."""
+    F, levels = scorer.F, scorer.levels
+    k = 0
+    for v in F.points():
+        if S.basis[v].cols == F.dims[v]:
+            continue
+        while not _point_within(scorer, S, v, levels[k]):
+            k += 1
+            if k == len(levels):
+                return INFINITE
+    return levels[k]   # levels[0] is 0, the cost of no shift
 
 
 # -- closure under direct sums --------------------------------------------

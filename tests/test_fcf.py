@@ -247,11 +247,11 @@ def _quotient_size(spec, F, S):
 def _check_scorer_and_walk(spec, F):
     """The scorer's size and the walk's rank against the slow paths, on
     every closed submodule of F; returns how many sizes were infinite."""
-    sigma = ns.QuotientScorer(spec, F)
+    scorer = ns.QuotientScorer(spec, F)
     infinite = 0
     for rank, basis in fc._enumerate_submodules(F):
         S = st.Submodule(F, basis)
-        size = sigma(S)
+        size = ns.quotient_size(scorer, S)
         assert size == _quotient_size(spec, F, S), (spec, F.dims, basis)
         assert rank == st.submodule_rank(S), (F.dims, basis)
         infinite += size == INFINITE
@@ -295,17 +295,18 @@ def test_scorer_element_cap_counts_quotient_classes():
     with pytest.raises(ElementEnumerationTooLarge):
         _quotient_size(NO_CORNER3, F, S)
     with pytest.raises(ElementEnumerationTooLarge):
-        ns.QuotientScorer(NO_CORNER3, F)(S)
+        ns.quotient_size(ns.QuotientScorer(NO_CORNER3, F), S)
     # a one-dimensional quotient of the same point is scored, not refused
     S = st.span_submodule(F, [((0, 0, 0), tuple(int(i == j)
                                                 for i in range(17)))
                               for j in range(16)])
-    assert ns.QuotientScorer(NO_CORNER3, F)(S) == \
+    assert ns.quotient_size(ns.QuotientScorer(NO_CORNER3, F), S) == \
         _quotient_size(NO_CORNER3, F, S) == 1
     # r=1 always has a quiet corner: no element is enumerated in either path
     F = make_module(1, Q(1), 1, 2, {(0,): 17})
     S = st.zero_submodule(F)
-    assert ns.QuotientScorer(RAY1, F)(S) == _quotient_size(RAY1, F, S) == 1
+    assert ns.quotient_size(ns.QuotientScorer(RAY1, F), S) == \
+        _quotient_size(RAY1, F, S) == 1
 
 
 def test_searches_build_no_quotient(monkeypatch):
@@ -320,12 +321,41 @@ def test_searches_build_no_quotient(monkeypatch):
             fc.minimal_rank_submodule(spec, F, Q(2), engine=engine)
 
 
-def test_work_cap_refuses_before_walking():
-    F = make_module(1, Q(1), 1, 2, {(0,): 6, (1,): 6},
-                    {((0,), 0): Mat.identity(6, 2)})
-    with pytest.raises(SearchSpaceTooLarge, match=f"{2825 ** 2} .* "
-                       f"{fc.EXHAUSTIVE_WORK_CAP}"):
-        bar_search(ns.VNormNoise(((1,),)), F, [Q(1)])
+def test_superspaces_match_filtered_subspaces():
+    # the walk's choices at a point, in the order of the full enumeration
+    rng = random.Random(34)
+    for p, top in ((2, 5), (3, 3), (5, 2)):
+        for d in range(top + 1):
+            for _ in range(12):
+                U = fp.column_reduce(Mat.from_cols(
+                    [[rng.randrange(p) for _ in range(d)]
+                     for _ in range(rng.randrange(d + 1))], d, p))
+                want = [s for s in fc._all_subspaces(p, d)
+                        if fp.span_contains(s, U)]
+                assert [s.data for s in fc._superspaces(U)] == \
+                    [s.data for s in want]
+
+
+def test_work_cap_counts_closed_submodules(monkeypatch):
+    # the points have 1,638,400 combinations of subspaces, but the edges
+    # leave 1,845 closed submodules, and all of them are searched
+    rng = random.Random(3)
+    for _ in range(4):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
+    assert sorted(F.dims.values()) == [0, 0, 0, 2, 2, 3, 3, 3, 3]
+    n = sum(1 for _ in fc._enumerate_submodules(F))
+    assert n == 1845
+    assert bar_search(DIAG2, F, [Q(1)]).engine == "exhaustive"
+
+    # one submodule over the cap is refused before any is scored
+    def refuse(*args):
+        raise AssertionError("a submodule was scored")
+
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
+    monkeypatch.setattr(ns, "quotient_size", refuse)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=f"at least {n} closed submodules.* {n - 1}$"):
+        bar_search(DIAG2, F, [Q(1)])
 
 
 # -- natural maps, closeness, interleavings --------------------------------
