@@ -28,7 +28,8 @@ from . import structure as st
 from .errors import (NotClosedUnderSums, NotOneDimensional,
                      SearchSpaceTooLarge, UnsupportedNoise)
 from .field import Mat
-from .grid import GridModule, add, clip, evaluate_map, modules_equal, unit
+from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
+                   require_same_shape, unit)
 from .noise import INFINITE
 
 EXHAUSTIVE_WORK_CAP = 2 ** 15  # closed submodules the exhaustive walk scores
@@ -416,14 +417,19 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
 # -- natural transformation spaces and distance bounds ---------------------
 
 
-def _naturality_system(F: GridModule, G: GridModule):
-    """Rows of phi_w @ F(v<w) - G(v<w) @ phi_v == 0 over every lattice edge
-    v<w. The unknowns are the entries of the maps phi_v: F(v) -> G(v), each
-    stored row-major from offs[v]; total counts them."""
+def natural_map_space(F: GridModule, G: GridModule):
+    """Basis of the F_p-vector space of natural transformations F -> G,
+    empty when that space is zero. It is the kernel of the rows
+    phi_w @ F(v<w) - G(v<w) @ phi_v == 0 over every lattice edge v<w,
+    whose unknowns are the entries of the maps phi_v: F(v) -> G(v), each
+    stored row-major from offs[v]."""
+    require_same_shape(F, G)
     offs, total = {}, 0
     for v in F.points():
         offs[v] = total
         total += G.dims[v] * F.dims[v]
+    if total == 0:
+        return []
     rows = []
     for (v, i), a in F.edges.items():
         w = add(v, unit(i, F.r))
@@ -436,14 +442,6 @@ def _naturality_system(F: GridModule, G: GridModule):
                 for k in range(G.dims[v]):
                     row[offs[v] + k * F.dims[v] + cc] -= b.data[rr][k]
                 rows.append(row)
-    return rows, offs, total
-
-
-def natural_map_space(F: GridModule, G: GridModule):
-    """Basis of the F_p-vector space of natural transformations F -> G."""
-    rows, offs, total = _naturality_system(F, G)
-    if total == 0:
-        return [st.zero_map(F, G)]
     ker = fp.kernel_basis(Mat.from_rows(rows, F.p) if rows
                           else Mat.zeros(0, total, F.p))
     maps = []
@@ -458,12 +456,16 @@ def natural_map_space(F: GridModule, G: GridModule):
     return maps
 
 
-def _combinations_of_maps(basis, F, G, cap=ORBIT_COMBO_CAP):
-    n = len(basis)
-    if F.p ** n > cap:
-        yield from basis
-        return
-    for coeffs in itertools.product(range(F.p), repeat=n):
+def _coefficient_vectors(n, p, cap):
+    """The coefficient vectors over a basis of n maps that the searches
+    try: all p**n of them, or only the n unit vectors past cap."""
+    if p ** n > cap:
+        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return itertools.product(range(p), repeat=n)
+
+
+def _combinations_of_maps(basis, F, G):
+    for coeffs in _coefficient_vectors(len(basis), F.p, ORBIT_COMBO_CAP):
         mats = {v: Mat.zeros(G.dims[v], F.dims[v], F.p) for v in F.points()}
         for c, bmap in zip(coeffs, basis):
             if c:
@@ -491,58 +493,68 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
 # -- interleavings ---------------------------------------------------------
 
 
+def _lattice_shift(tau, r):
+    """tau as a tuple of r nonnegative ints; ValueError for anything else,
+    so that no entry is dropped, truncated or read as a negative shift."""
+    tau = tuple(tau)
+    if len(tau) != r or not all(
+            isinstance(c, (int, Fraction)) and c.denominator == 1 and c >= 0
+            for c in tau):
+        raise ValueError(
+            f"tau must be {r} nonnegative integer lattice steps, got {tau}")
+    return tuple(int(c) for c in tau)
+
+
+def _flat(mats):
+    return tuple(x for m in mats for row in m.data for x in row)
+
+
 def is_interleaved(F: GridModule, G: GridModule, tau,
                    cap=ORBIT_COMBO_CAP) -> bool:
-    """Existence of tau-shifted maps both ways whose composites are the
-    internal 2*tau shifts. tau is in lattice steps of the common grid.
-
-    Candidates phi: F -> G(-+tau) are tried in turn; for each, the maps
-    psi: G -> F(-+tau) form one linear system: psi's naturality, plus
+    """Existence of tau-shifted maps phi: F -> G(-+tau) and psi: G ->
+    F(-+tau) whose composites are the internal 2*tau shifts:
     psi_{v+tau} phi_v == F(v <= v+2tau) and phi_{v+tau} psi_v ==
-    G(v <= v+2tau).
+    G(v <= v+2tau). tau is in lattice steps of the common grid.
 
-    F is tau-interleaved with itself through its own structure maps, so
-    equal presentations answer True at once. Otherwise, past `cap`
-    combinations of phi's basis only the basis maps are tried, so a False
-    answer is not certified there."""
+    With bases Phi_1..Phi_n and Psi_1..Psi_m of the two Hom spaces, both
+    composites are bilinear: phi = sum a_i Phi_i and psi = sum b_j Psi_j
+    interleave exactly when sum a_i b_j C_ij == T, C_ij the flattened
+    composites of Phi_i and Psi_j at every point and T the flattened
+    2*tau shifts. If T is outside the span of all C_ij, no pair exists.
+    Otherwise candidates a are tried in turn, each a span test of T
+    against the columns sum_i a_i C_ij; past `cap` combinations only the
+    unit vectors are tried.
+
+    True is always certified, and so is a False from the first span
+    test. A False after a walk past `cap` is not certified. F is
+    tau-interleaved with itself through its own structure maps, so equal
+    presentations answer True at once."""
+    require_same_shape(F, G)
+    tau = _lattice_shift(tau, F.r)
     if modules_equal(F, G):
         return True
-    tau = tuple(int(c) for c in tau)
     two = tuple(2 * c for c in tau)
-    shiftedG = _shift_module(G, tau)
-    shiftedF = _shift_module(F, tau)
-    nat_rows, offs, total = _naturality_system(G, shiftedF)
-    target_F = {v: evaluate_map(F, v, add(v, two)) for v in F.points()}
-    target_G = {v: evaluate_map(G, v, add(v, two)) for v in G.points()}
-    phis = natural_map_space(F, shiftedG)
-    for phi in _combinations_of_maps(phis, F, shiftedG, cap):
-        rows, rhs = list(nat_rows), [0] * len(nat_rows)
-        for v in F.points():
-            vt = clip(add(v, tau), F.box)
-            pv, target, n = phi.mats[v], target_F[v], G.dims[vt]
-            for rr in range(target.rows):
-                for cc in range(F.dims[v]):
-                    row = [0] * total
-                    for k in range(n):
-                        row[offs[vt] + rr * n + k] = pv.data[k][cc]
-                    rows.append(row)
-                    rhs.append(target.data[rr][cc])
-        for v in G.points():
-            vt = clip(add(v, tau), G.box)
-            pm, target, n = phi.mats[vt], target_G[v], G.dims[v]
-            for rr in range(target.rows):
-                for cc in range(n):
-                    row = [0] * total
-                    for k in range(shiftedF.dims[v]):
-                        row[offs[v] + k * n + cc] = pm.data[rr][k]
-                    rows.append(row)
-                    rhs.append(target.data[rr][cc])
-        if total == 0 or not rows:
-            ok = not any(rhs)
-        else:
-            ok = fp.solvable(Mat.from_rows(rows, F.p),
-                             Mat.from_cols([rhs], len(rows), F.p))
-        if ok:
+    phis = natural_map_space(F, _shift_module(G, tau))
+    psis = natural_map_space(G, _shift_module(F, tau))
+    target = _flat([evaluate_map(X, v, add(v, two))
+                    for X in (F, G) for v in X.points()])
+    if not phis or not psis:
+        return not any(target)
+
+    after = {v: clip(add(v, tau), F.box) for v in F.points()}
+    table = [[_flat([psi.mats[after[v]] @ phi.mats[v] for v in after]
+                    + [phi.mats[after[v]] @ psi.mats[v] for v in after])
+              for psi in psis] for phi in phis]
+    length, p = len(target), F.p
+    rhs = Mat.from_cols([target], length, p)
+    if not fp.solvable(Mat.from_cols([c for row in table for c in row],
+                                     length, p), rhs):
+        return False
+    for coeffs in _coefficient_vectors(len(phis), p, cap):
+        terms = [(c, cs) for c, cs in zip(coeffs, table) if c]
+        cols = [[sum(c * cs[j][k] for c, cs in terms) for k in range(length)]
+                for j in range(len(psis))]
+        if fp.solvable(Mat.from_cols(cols, length, p), rhs):
             return True
     return False
 

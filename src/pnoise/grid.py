@@ -211,10 +211,15 @@ def make_bar(bar: Bar, box, alpha, p, r=None):
     return make_module(r, alpha, box, p, dims, edges)
 
 
-def direct_sum(F: GridModule, G: GridModule) -> GridModule:
+def require_same_shape(F: GridModule, G: GridModule):
+    """Raise IncompatibleShape unless F and G share (r, alpha, box, p)."""
     if (F.r, F.alpha, F.box, F.p) != (G.r, G.alpha, G.box, G.p):
         raise IncompatibleShape(
             f"({F.r},{F.alpha},{F.box},{F.p}) vs ({G.r},{G.alpha},{G.box},{G.p})")
+
+
+def direct_sum(F: GridModule, G: GridModule) -> GridModule:
+    require_same_shape(F, G)
     dims = {v: F.dims[v] + G.dims[v] for v in F.points()}
     edges = {k: fp.block_diag([F.edges[k], G.edges[k]], F.p) for k in F.edges}
     return GridModule(F.r, F.alpha, F.box, F.p, dims, edges)

@@ -61,11 +61,6 @@ def identity_map(F: GridModule) -> NatMap:
     return NatMap(F, F, {v: Mat.identity(F.dims[v], F.p) for v in F.points()})
 
 
-def zero_map(F: GridModule, G: GridModule) -> NatMap:
-    return NatMap(F, G, {v: Mat.zeros(G.dims[v], F.dims[v], F.p)
-                         for v in F.points()})
-
-
 def compose(phi: NatMap, psi: NatMap) -> NatMap:
     """phi after psi."""
     assert psi.target is phi.source or psi.target.dims == phi.source.dims

@@ -8,8 +8,9 @@ import pytest
 from pnoise import fcf as fc
 from pnoise import field as fp, gallery as ga, grid, noise as ns
 from pnoise import structure as st
-from pnoise.errors import (ElementEnumerationTooLarge, NotOneDimensional,
-                           SearchSpaceTooLarge, UnsupportedNoise)
+from pnoise.errors import (ElementEnumerationTooLarge, IncompatibleShape,
+                           NotOneDimensional, SearchSpaceTooLarge,
+                           UnsupportedNoise)
 from pnoise.fcf import (EquivalenceBudget, FeatureCountingFunction,
                         bar_r1, bar_search, bar_zero_check,
                         closeness_upper_bound, constant_fcf,
@@ -21,7 +22,7 @@ from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
                          zero_module)
 from pnoise.noise import INFINITE, ConeNoise
 
-from conftest import random_line_module, random_sum_module
+from conftest import random_bar, random_line_module, random_sum_module
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -423,6 +424,88 @@ def _interleaved_by_brute_force(F, G, tau):
                for phi in phis for psi in psis)
 
 
+def _naturality_rows(F, G):
+    """Rows of phi_w @ F(v<w) - G(v<w) @ phi_v == 0 over every lattice
+    edge v<w, in the entries of the maps phi_v, each stored row-major from
+    offs[v]; total counts the entries."""
+    offs, total = {}, 0
+    for v in F.points():
+        offs[v] = total
+        total += G.dims[v] * F.dims[v]
+    rows = []
+    for (v, i), a in F.edges.items():
+        w = grid.add(v, grid.unit(i, F.r))
+        b = G.edge(v, i)
+        for rr in range(G.dims[w]):
+            for cc in range(F.dims[v]):
+                row = [0] * total
+                for k in range(F.dims[w]):
+                    row[offs[w] + rr * F.dims[w] + k] += a.data[k][cc]
+                for k in range(G.dims[v]):
+                    row[offs[v] + k * F.dims[v] + cc] -= b.data[rr][k]
+                rows.append(row)
+    return rows, offs, total
+
+
+def _interleaved_by_phi_systems(F, G, tau, cap=fc.ORBIT_COMBO_CAP):
+    """The per-phi path the Hom-basis table replaces. Candidates phi are
+    every combination of a basis of Hom(F, G(-+tau)), or only the basis
+    maps past cap; each gets one linear system in psi's entries: psi's
+    naturality rows, psi_{v+tau} phi_v == F(v <= v+2tau) and
+    phi_{v+tau} psi_v == G(v <= v+2tau)."""
+    if grid.modules_equal(F, G):
+        return True
+    two = tuple(2 * c for c in tau)
+    sF, sG = fc._shift_module(F, tau), fc._shift_module(G, tau)
+    nat_rows, offs, total = _naturality_rows(G, sF)
+    target_F = {v: grid.evaluate_map(F, v, grid.add(v, two))
+                for v in F.points()}
+    target_G = {v: grid.evaluate_map(G, v, grid.add(v, two))
+                for v in G.points()}
+    basis = natural_map_space(F, sG)
+    if F.p ** len(basis) > cap:
+        phis = basis
+    else:
+        phis = []
+        for coeffs in itertools.product(range(F.p), repeat=len(basis)):
+            mats = {v: Mat.zeros(sG.dims[v], F.dims[v], F.p)
+                    for v in F.points()}
+            for c, bmap in zip(coeffs, basis):
+                for v in F.points():
+                    mats[v] = mats[v] + bmap.mats[v].scale(c)
+            phis.append(st.NatMap(F, sG, mats))
+    for phi in phis:
+        rows, rhs = list(nat_rows), [0] * len(nat_rows)
+        for v in F.points():
+            vt = grid.clip(grid.add(v, tau), F.box)
+            pv, target, n = phi.mats[v], target_F[v], G.dims[vt]
+            for rr in range(target.rows):
+                for cc in range(F.dims[v]):
+                    row = [0] * total
+                    for k in range(n):
+                        row[offs[vt] + rr * n + k] = pv.data[k][cc]
+                    rows.append(row)
+                    rhs.append(target.data[rr][cc])
+        for v in G.points():
+            vt = grid.clip(grid.add(v, tau), G.box)
+            pm, target, n = phi.mats[vt], target_G[v], G.dims[v]
+            for rr in range(target.rows):
+                for cc in range(n):
+                    row = [0] * total
+                    for k in range(sF.dims[v]):
+                        row[offs[v] + k * n + cc] = pm.data[rr][k]
+                    rows.append(row)
+                    rhs.append(target.data[rr][cc])
+        if total == 0 or not rows:
+            ok = not any(rhs)
+        else:
+            ok = fp.solvable(Mat.from_rows(rows, F.p),
+                             Mat.from_cols([rhs], len(rows), F.p))
+        if ok:
+            return True
+    return False
+
+
 def test_is_interleaved_matches_brute_force():
     rng = random.Random(5)
     answers = []
@@ -464,6 +547,139 @@ def test_interleaved_two_bars():
     assert not is_interleaved(F, G, (2,))   # shift 1
     assert is_interleaved(F, G, (3,))       # shift 3/2
     assert is_interleaved(F, G, (4,))       # shift 2
+
+
+def _interleave_pairs_r1(rng, count):
+    """Random r=1 pairs at p 2 and 3, box 0 to 4, each with a tau up to
+    box + 1: F against F plus one bar, or against another module."""
+    for _ in range(count):
+        p, box = rng.choice((2, 3)), rng.randrange(5)
+        F = random_line_module(rng, box=box, p=p, maxdim=2,
+                               total_cap=rng.randrange(1, 6))
+        if rng.random() < 0.5:
+            start = rng.randrange(box + 1)
+            end = min(start + rng.randrange(1, 3), box + 1)
+            G = direct_sum(F, make_bar(Bar((start,), (end,)), box, Q(1), p))
+        else:
+            G = random_line_module(rng, box=box, p=p, maxdim=2,
+                                   total_cap=rng.randrange(1, 6))
+        yield F, G, (rng.randrange(box + 2),)
+
+
+def test_is_interleaved_matches_phi_systems_r1():
+    # a cap of 8 puts most walks past it, where only unit vectors are tried
+    rng = random.Random(41)
+    seen = set()
+    for F, G, tau in _interleave_pairs_r1(rng, 150):
+        for cap in (fc.ORBIT_COMBO_CAP, 8):
+            got = is_interleaved(F, G, tau, cap)
+            assert got == _interleaved_by_phi_systems(F, G, tau, cap), \
+                (F.dims, G.dims, tau, cap)
+            n = len(natural_map_space(F, fc._shift_module(G, tau)))
+            seen.add((cap, got, F.p ** n > cap))
+    # both answers occur within each cap, and past the small one
+    assert {(cap, got, past) for cap in (fc.ORBIT_COMBO_CAP, 8)
+            for got in (True, False) for past in (False, cap == 8)} <= seen
+
+
+def test_is_interleaved_matches_phi_systems_past_the_cap():
+    F = make_module(1, Q(1), 3, 3, {(0,): 2, (2,): 2})
+    seen = set()
+    for other in (F, make_bar(Bar((0,), (1,)), 3, Q(1), 3),
+                  make_free((2,), 3, Q(1), 3)):
+        G = direct_sum(F, other)
+        for t in range(3):
+            n = len(natural_map_space(F, fc._shift_module(G, (t,))))
+            got = is_interleaved(F, G, (t,))
+            assert got == _interleaved_by_phi_systems(F, G, (t,)), \
+                (other.dims, t)
+            seen.add((got, F.p ** n > fc.ORBIT_COMBO_CAP))
+    assert {(True, True), (False, True), (True, False)} <= seen
+
+
+def test_is_interleaved_matches_phi_systems_r2():
+    rng = random.Random(42)
+    answers = []
+    for _ in range(8):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        G = direct_sum(F, make_bar(random_bar(rng, 2, 2), 2, Q(1), 2)) \
+            if rng.random() < 0.5 else \
+            random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        for tau in itertools.product(range(3), repeat=2):
+            got = is_interleaved(F, G, tau)
+            assert got == _interleaved_by_phi_systems(F, G, tau), \
+                (F.dims, G.dims, tau)
+            answers.append(got)
+    assert True in answers and False in answers
+
+
+def _count_solvable(monkeypatch):
+    calls = []
+    solvable = fp.solvable
+
+    def counted(*args):
+        calls.append(args)
+        return solvable(*args)
+
+    monkeypatch.setattr(fp, "solvable", counted)
+    return calls
+
+
+def test_interleaved_with_an_empty_hom_basis(monkeypatch):
+    # Hom(F, G(-+1)) is zero and so are both 2-shifts: True, no system
+    F = make_module(1, Q(1), 3, 3, {(0,): 2, (2,): 2})
+    G = direct_sum(F, make_bar(Bar((1,), (3,)), 3, Q(1), 3))
+    assert natural_map_space(F, fc._shift_module(G, (1,))) == []
+    calls = _count_solvable(monkeypatch)
+    assert is_interleaved(F, G, (1,))
+    assert calls == []
+
+
+def test_false_past_the_cap_is_certified_by_the_span_test(monkeypatch):
+    # 3^10 combinations of phi's basis; one span test refuses them all
+    F = make_module(1, Q(1), 3, 3, {(0,): 2, (2,): 2})
+    G = direct_sum(F, make_bar(Bar((0,), (1,)), 3, Q(1), 3))
+    n = len(natural_map_space(F, fc._shift_module(G, (0,))))
+    assert F.p ** n > fc.ORBIT_COMBO_CAP
+    calls = _count_solvable(monkeypatch)
+    assert not is_interleaved(F, G, (0,))
+    assert len(calls) == 1
+
+
+def test_hom_spaces_need_one_shape():
+    F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
+    H = make_bar(Bar((0,), (2,)), 4, Q(1, 2), 2)
+    assert not grid.modules_equal(F, H)
+    with pytest.raises(IncompatibleShape,
+                       match=r"\(1,1,4,2\) vs \(1,1/2,4,2\)"):
+        natural_map_space(F, H)
+    with pytest.raises(IncompatibleShape):
+        closeness_upper_bound(RAY1, F, H)
+    with pytest.raises(IncompatibleShape):
+        is_interleaved(make_free((0,), 4, Q(1), 2),
+                       make_free((0,), 3, Q(1), 2), (1,))
+
+
+def test_is_interleaved_rejects_malformed_shifts():
+    hook, Z2 = hook_module(), zero_module(2, Q(1), 2, 2)
+    F, Z1 = make_bar(Bar((0,), (2,)), 4, Q(1), 2), zero_module(1, Q(1), 4, 2)
+    for X, Y, tau in ((hook, Z2, (1, 1, 1)), (hook, Z2, (1,)),
+                      (F, Z1, (1, 2)), (F, Z1, (Q(3, 2),)), (F, Z1, (1.0,)),
+                      (F, Z1, (-1,)), (F, F, (-1,))):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            is_interleaved(X, Y, tau)
+    assert is_interleaved(F, Z1, (Q(2, 2),))
+    assert not is_interleaved(hook, Z2, (1, 1))
+
+
+def test_zero_hom_space_has_the_empty_basis():
+    Z = zero_module(1, Q(1), 3, 2)
+    F = make_free((0,), 3, Q(1), 2)
+    B = make_bar(Bar((0,), (1,)), 3, Q(1), 2)
+    assert natural_map_space(Z, F) == []      # no unknowns
+    assert natural_map_space(B, F) == []      # unknowns, trivial kernel
+    maps = list(fc._combinations_of_maps([], B, F))
+    assert len(maps) == 1 and all(m.is_zero() for m in maps[0].mats.values())
 
 
 # -- subspace enumeration ----------------------------------------------------
