@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import EmptyGrid
-from .field import Mat
+from .field import Mat, is_prime
 from .grid import GridModule, make_module
 
 
@@ -65,6 +65,8 @@ def _components(alive, dist, scale):
 def build_h0(points=None, density=None, scale_grid=(), density_grid=(),
              p=2, alpha=Fraction(1), distances=None) -> GridModule:
     """Assemble the H0 bifiltration module on the (scale, density) grid."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if distances is None:
         if points is None:
             raise ValueError("need points or a distance matrix")

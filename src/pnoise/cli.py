@@ -218,7 +218,7 @@ def cmd_build_h0(args):
         F = build_h0(points=points, density=density,
                      scale_grid=_parse_t_list(args.scale_grid),
                      density_grid=_parse_t_list(args.density_grid),
-                     p=args.p or default_prime(),
+                     p=args.p if args.p is not None else default_prime(),
                      alpha=_parse_q(args.alpha, "--alpha"))
     except (ValueError, PnoiseError) as e:
         raise CliError(EXIT_VALIDATION, "validation", str(e)) from None

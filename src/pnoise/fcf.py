@@ -230,15 +230,21 @@ def _superspaces(U: Mat):
     return sorted(out, key=_subspace_key)
 
 
-def _images_at(F: GridModule, v, layer):
+def _images_at(F: GridModule, v, layer, pushed_memo):
     """For each partial choice (rank, assign) of S before v: the canonical
     basis of the images of S's predecessors in F(v), with the rank less its
     dimension. Every subspace of F(v) containing those images completes to
     at least one closed submodule, so their number, summed over the layer,
-    is capped before any is chosen."""
+    is capped before any is chosen. pushed_memo maps (v, the predecessors'
+    bases) to the image, which depends on nothing else."""
+    preds = st.predecessors(v)
     out, total = [], 0
     for rank, assign in layer:
-        pushed = fp.column_reduce(st.predecessor_images(F, v, assign))
+        key = (v, tuple(assign[u].data for u, _ in preds))
+        pushed = pushed_memo.get(key)
+        if pushed is None:
+            pushed = pushed_memo[key] = fp.column_reduce(
+                st.predecessor_images(F, v, assign))
         total += _subspace_count(F.p, F.dims[v] - pushed.cols)
         if total > EXHAUSTIVE_WORK_CAP:
             raise SearchSpaceTooLarge(
@@ -255,15 +261,25 @@ def _enumerate_submodules(F: GridModule):
     of partial choices per point; at v the choices are the subspaces that
     contain the images of S's predecessors, and the rank gains dim S(v)
     minus their dimension. The choices at the last point are counted
-    before the first submodule is yielded."""
+    before the first submodule is yielded. Each image is reduced, and the
+    subspaces above it listed, once per walk."""
     *head, last = st.order(F.points())
+    pushed_memo, supers_memo = {}, {}
+
+    def choices(pushed):
+        hit = supers_memo.get(pushed.data)
+        if hit is None:
+            hit = supers_memo[pushed.data] = _superspaces(pushed)
+        return hit
+
     layer = [(0, {})]
     for v in head:
         layer = [(rank + s.cols, {**assign, v: s})
-                 for rank, assign, pushed in _images_at(F, v, layer)
-                 for s in _superspaces(pushed)]
-    for rank, assign, pushed in _images_at(F, last, layer):
-        for s in _superspaces(pushed):
+                 for rank, assign, pushed in _images_at(F, v, layer,
+                                                        pushed_memo)
+                 for s in choices(pushed)]
+    for rank, assign, pushed in _images_at(F, last, layer, pushed_memo):
+        for s in choices(pushed):
             yield rank + s.cols, {**assign, last: s}
 
 

@@ -17,13 +17,20 @@ from .errors import DependentBasis, Infeasible
 DEFAULT_PRIME = 2
 
 
+def is_prime(p) -> bool:
+    """Is p a prime integer? Everything here computes over F_p, and `_inv`
+    is an inverse only when p is prime."""
+    return isinstance(p, int) and p >= 2 and \
+        all(p % q for q in range(2, int(p ** 0.5) + 1))
+
+
 def default_prime() -> int:
     """Session default prime; PNOISE_FIELD overrides."""
     raw = os.environ.get("PNOISE_FIELD")
     if raw is None:
         return DEFAULT_PRIME
     p = int(raw)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"PNOISE_FIELD={raw} is not prime")
     return p
 

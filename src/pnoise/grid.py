@@ -84,6 +84,8 @@ def make_module(r, alpha, box, p, dims, edges=None):
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    if not fp.is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     full_dims = {}
     for v in box_points(r, box):
         full_dims[v] = int(dims.get(v, 0))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .field import Mat
+from .field import Mat, is_prime
 from .grid import Bar, GridModule, add, box_points, make_module, unit
 
 FORMAT_NAME = "pnoise-module"
@@ -107,8 +107,10 @@ def parse_module(text: str) -> GridModule:
     except (ValueError, ZeroDivisionError):
         raise ParseError(n, f"bad rational {parts[1]!r}") from None
     box = _keyed_int(lines, "box")
-    if p < 2 or r < 1 or box < 0 or alpha <= 0:
+    if r < 1 or box < 0 or alpha <= 0:
         raise ParseError(n, "header values out of range")
+    if not is_prime(p):
+        raise ParseError(n, f"p must be prime, got {p}")
 
     n, line = lines.next()
     if line != "dims":

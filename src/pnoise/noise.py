@@ -18,8 +18,10 @@ killing offset of each nonzero element.
 `quotient_size` applies the same kill rule to a quotient F/S without
 building it: x in F(v) dies in F/S along m when F(v <= v+m)x lies in
 S(v+m). A submodule search builds one `QuotientScorer` per (spec, F), which
-holds the levels and the maps F(v <= w), and sizes every candidate S with
-it.
+holds the levels, each level's kill offsets, the maps F(v <= w) and the
+verdicts of the point tests already run, and sizes every candidate S with
+it; a verdict is reused for every S whose bases agree where the test reads
+them.
 """
 
 from __future__ import annotations
@@ -365,14 +367,23 @@ def noise_size(spec, F: GridModule):
 
 
 class QuotientScorer:
-    """What `quotient_size` needs of one cone-shaped spec and one module F:
-    the levels where membership can change, and a lazily filled table of
-    the maps F(v <= w), computed once per search."""
+    """What `quotient_size` needs of one cone-shaped spec and one module F,
+    computed once per search: the levels where membership can change, the
+    kill data (`_kill_offsets`) of each level, a lazily filled table of
+    the maps F(v <= w), and the verdicts of the point tests already run.
+
+    A point test's verdict is a pure function of v, the level and the
+    bases of S it reads, and every `Submodule` basis is canonical, so a
+    verdict is stored under (v, k, the data of those bases) and reused
+    for every later S that agrees with it there."""
 
     def __init__(self, spec, F: GridModule):
         self.spec, self.F = spec, F
         self.levels = noise_candidates(spec, F)
+        self.kills = [_kill_offsets(spec, F.alpha, F.box, F.r, eps)
+                      for eps in self.levels]
         self._paths = {}
+        self._verdicts = {}
 
     def path(self, v, m):
         """(w, F(v <= w)) for w = v+m clipped to the box."""
@@ -383,20 +394,32 @@ class QuotientScorer:
         return hit
 
 
-def _point_within(scorer: QuotientScorer, S: Submodule, v, eps):
-    """Is the point v of F/S within level eps?"""
-    F = scorer.F
-    maximal, corner, corner_ok = _kill_offsets(scorer.spec, F.alpha, F.box,
-                                               F.r, eps)
+def _point_within(scorer: QuotientScorer, S: Submodule, v, k):
+    """Is the point v of F/S within level levels[k]? The test reads S(w)
+    at a level with a quiet corner w, and S(v) and each S(w_m) at a level
+    without one; its verdict is memoised in the scorer on those bases."""
+    maximal, corner, corner_ok = scorer.kills[k]
+    paths = [scorer.path(v, m) for m in ((corner,) if corner_ok else maximal)]
+    reads = ([] if corner_ok else [v]) + [w for w, _ in paths]
+    key = (v, k, tuple(S.basis[u].data for u in reads))
+    hit = scorer._verdicts.get(key)
+    if hit is None:
+        hit = scorer._verdicts[key] = _point_test(scorer.F, S, v, corner_ok,
+                                                 paths)
+    return hit
+
+
+def _point_test(F: GridModule, S: Submodule, v, corner_ok, paths):
+    """The kill test of the point v of F/S along the given paths: the one
+    quiet corner's, or each maximal offset's."""
     if corner_ok:
-        w, A = scorer.path(v, corner)
+        (w, A), = paths
         return fp.span_contains(S.basis[w], A)
     pivots = fp.pivot_rows(S.basis[v])
     free = [i for i in range(F.dims[v]) if i not in pivots]
     classes = _elements(len(free), F.p)
     residues = []
-    for m in maximal:
-        w, A = scorer.path(v, m)
+    for w, A in paths:
         R = fp.residue(S.basis[w], A)
         residues.append(Mat(F.p, R.rows, len(free), tuple(
             tuple(row[i] for i in free) for row in R.data)))
@@ -421,7 +444,7 @@ def quotient_size(scorer: QuotientScorer, S: Submodule):
     for v in F.points():
         if S.basis[v].cols == F.dims[v]:
             continue
-        while not _point_within(scorer, S, v, levels[k]):
+        while not _point_within(scorer, S, v, k):
             k += 1
             if k == len(levels):
                 return INFINITE

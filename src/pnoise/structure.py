@@ -104,14 +104,18 @@ def is_closed(S: Submodule) -> bool:
 # -- radical / betti -------------------------------------------------------
 
 
+def predecessors(v):
+    """(u, i) for each immediate predecessor u of v, one step below along
+    axis i."""
+    return [(tuple(c - 1 if k == i else c for k, c in enumerate(v)), i)
+            for i in range(len(v)) if v[i]]
+
+
 def predecessor_images(F: GridModule, v, basis=None) -> Mat:
     """Columns spanning the sum, in F(v), of the images of the r immediate
     predecessors' spaces: all of F(u), or span(basis[u]) when given."""
     block = Mat.zeros(F.dims[v], 0, F.p)
-    for i in range(F.r):
-        if v[i] == 0:
-            continue
-        u = tuple(c - 1 if k == i else c for k, c in enumerate(v))
+    for u, i in predecessors(v):
         e = F.edge(u, i)
         block = block.hstack(e if basis is None else e @ basis[u])
     return block
@@ -206,10 +210,12 @@ def quotient_by_submodule(F: GridModule, S: Submodule):
 
 
 def span_submodule(F: GridModule, seeds) -> Submodule:
-    """Smallest submodule containing the given (point, vector) seeds."""
+    """Smallest submodule containing the given (point, vector) seeds;
+    ValueError for a seed off the box or of the wrong length."""
     at_point = {v: [] for v in F.points()}
     for v, vec in seeds:
-        assert len(vec) == F.dims[v]
+        if v not in at_point or len(vec) != F.dims[v]:
+            raise ValueError(f"seed {vec} at {v} is not a vector of F({v})")
         at_point[v].append(tuple(x % F.p for x in vec))
     basis = {}
     for v in order(F.points()):

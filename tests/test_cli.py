@@ -209,3 +209,22 @@ def test_field_env_override(tmp_path, monkeypatch, capsys):
     assert main(["build-h0", str(pts), "--scale-grid", "1",
                  "--density-grid", "0"]) == 0
     assert "p 5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p", ["4", "1", "-3", "0"])
+def test_build_h0_refuses_non_prime_p(tmp_path, capsys, p):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0,0\n1,0,0\n5,5,0\n")
+    out = tmp_path / "h0.mod"
+    assert main(["build-h0", str(pts), "--scale-grid", "1,30",
+                 "--density-grid", "0,1", "--p", p, "-o", str(out)]) == 3
+    assert stderr_json(capsys)["code"] == "validation"
+    assert not out.exists()
+
+
+def test_info_refuses_non_prime_p(tmp_path, capsys):
+    path = tmp_path / "z4.mod"
+    path.write_text(write_module(ga.line_module()).replace("p 3", "p 4", 1))
+    assert main(["info", str(path)]) == 2
+    err = stderr_json(capsys)
+    assert err["code"] == "parse" and "prime" in err["message"]

@@ -359,6 +359,147 @@ def test_work_cap_counts_closed_submodules(monkeypatch):
         bar_search(DIAG2, F, [Q(1)])
 
 
+# -- memoised scoring and walking against the unmemoised paths -------------
+
+
+def _point_within_unmemoised(spec, F, S, v, eps):
+    """The point test with no scorer state: the kill offsets are looked up
+    and the maps F(v <= w) built for every test."""
+    maximal, corner, corner_ok = ns._kill_offsets(spec, F.alpha, F.box, F.r,
+                                                  eps)
+
+    def path(m):
+        w = grid.clip(grid.add(v, m), F.box)
+        return w, grid.evaluate_map(F, v, w)
+
+    if corner_ok:
+        w, A = path(corner)
+        return fp.span_contains(S.basis[w], A)
+    pivots = fp.pivot_rows(S.basis[v])
+    free = [i for i in range(F.dims[v]) if i not in pivots]
+    residues = []
+    for m in maximal:
+        w, A = path(m)
+        R = fp.residue(S.basis[w], A)
+        residues.append(Mat(F.p, R.rows, len(free), tuple(
+            tuple(row[i] for i in free) for row in R.data)))
+    return all(any(not any(R.apply(x)) for R in residues)
+               for x in ns._elements(len(free), F.p) if any(x))
+
+
+def _quotient_size_unmemoised(spec, F, S):
+    levels = ns.noise_candidates(spec, F)
+    k = 0
+    for v in F.points():
+        if S.basis[v].cols == F.dims[v]:
+            continue
+        while not _point_within_unmemoised(spec, F, S, v, levels[k]):
+            k += 1
+            if k == len(levels):
+                return INFINITE
+    return levels[k]
+
+
+def _enumerate_submodules_unmemoised(F):
+    """The exhaustive walk with every image reduced, and the subspaces
+    above it listed, once per partial choice."""
+    def images_at(v, layer):
+        out, total = [], 0
+        for rank, assign in layer:
+            pushed = fp.column_reduce(st.predecessor_images(F, v, assign))
+            total += fc._subspace_count(F.p, F.dims[v] - pushed.cols)
+            if total > fc.EXHAUSTIVE_WORK_CAP:
+                raise SearchSpaceTooLarge(
+                    f"at least {total} closed submodules, over the cap "
+                    f"{fc.EXHAUSTIVE_WORK_CAP}")
+            out.append((rank - pushed.cols, assign, pushed))
+        return out
+
+    *head, last = st.order(F.points())
+    layer = [(0, {})]
+    for v in head:
+        layer = [(rank + s.cols, {**assign, v: s})
+                 for rank, assign, pushed in images_at(v, layer)
+                 for s in fc._superspaces(pushed)]
+    for rank, assign, pushed in images_at(last, layer):
+        for s in fc._superspaces(pushed):
+            yield rank + s.cols, {**assign, last: s}
+
+
+def _size_or_refusal(size, *args):
+    try:
+        return size(*args)
+    except ElementEnumerationTooLarge:
+        return ElementEnumerationTooLarge
+
+
+def _check_scorer_memo(spec, F):
+    """One scorer sizes every closed submodule of F, in walk order and in
+    reverse, as the unmemoised test does; an element-cap refusal counts as
+    an answer."""
+    subs = [st.Submodule(F, basis)
+            for _, basis in _enumerate_submodules_unmemoised(F)]
+    want = [_size_or_refusal(_quotient_size_unmemoised, spec, F, S)
+            for S in subs]
+    for step in (1, -1):
+        scorer = ns.QuotientScorer(spec, F)
+        assert [_size_or_refusal(ns.quotient_size, scorer, S)
+                for S in subs[::step]] == want[::step], (spec, F.dims)
+    return want
+
+
+def test_scorer_memo_matches_unmemoised_test(monkeypatch):
+    rng = random.Random(35)
+    for p in (2, 3):
+        for _ in range(12):
+            F = random_line_module(rng, box=rng.randrange(1, 6), p=p,
+                                   maxdim=2, total_cap=6 if p == 2 else 4)
+            for spec in (RAY1, ConeNoise(((2,),)),
+                         ns.VNormNoise(((Q(1, 2),),))):
+                _check_scorer_memo(spec, F)
+    for _ in range(6):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        for spec in (DIAG2, ConeNoise(((1, 2), (2, 1)))):
+            _check_scorer_memo(spec, F)
+    # the r=3 levels without a quiet corner enumerate F(v)/S(v); with the
+    # cap at 2 a two-dimensional quotient is refused, so a verdict must
+    # not be reused for an S that differs from an earlier one only at v
+    monkeypatch.setattr(ns, "ELEMENT_CAP", 2)
+    refused = 0
+    modules = [make_module(3, Q(1), 1, 2, {(0, 0, 0): 2})]
+    modules += [random_sum_module(rng, r=3, box=1, p=2, summands=2)
+                for _ in range(8)]
+    for F in modules:
+        refused += _check_scorer_memo(NO_CORNER3, F).count(
+            ElementEnumerationTooLarge)
+    assert refused > 0
+
+
+def test_walk_memo_matches_unmemoised_walk(monkeypatch):
+    rng = random.Random(36)
+    modules = [random_line_module(rng, box=rng.randrange(1, 6), p=p,
+                                  maxdim=2, total_cap=7 if p == 2 else 5)
+               for p in (2, 3) for _ in range(12)]
+    modules += [random_sum_module(rng, r=2, box=2, p=p, summands=3)
+                for p in (2, 3) for _ in range(4)]
+    for F in modules:
+        want = [(rank, {v: s.data for v, s in basis.items()})
+                for rank, basis in _enumerate_submodules_unmemoised(F)]
+        got = [(rank, {v: s.data for v, s in basis.items()})
+               for rank, basis in fc._enumerate_submodules(F)]
+        assert got == want, F.dims
+        # one closed submodule over the cap: both walks refuse alike
+        monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", len(want) - 1)
+        messages = []
+        for walk in (_enumerate_submodules_unmemoised,
+                     fc._enumerate_submodules):
+            with pytest.raises(SearchSpaceTooLarge) as e:
+                next(walk(F))
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+        monkeypatch.undo()
+
+
 # -- natural maps, closeness, interleavings --------------------------------
 
 

@@ -4,9 +4,22 @@ import random
 import pytest
 
 from pnoise.errors import DependentBasis, Infeasible
-from pnoise.field import (Mat, block_diag, column_reduce, in_span,
-                          kernel_basis, quotient_map, rank, solve,
-                          span_contains)
+from pnoise.field import (Mat, block_diag, column_reduce, default_prime,
+                          in_span, is_prime, kernel_basis, quotient_map,
+                          rank, solve, span_contains)
+
+
+def test_is_prime():
+    assert [p for p in range(-3, 30) if is_prime(p)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not is_prime(2.0) and not is_prime(True)
+
+
+@pytest.mark.parametrize("raw", ["4", "1", "0", "-3"])
+def test_default_prime_refuses_non_primes(monkeypatch, raw):
+    monkeypatch.setenv("PNOISE_FIELD", raw)
+    with pytest.raises(ValueError, match="not prime"):
+        default_prime()
 
 
 def test_rank_identity():

@@ -9,7 +9,7 @@ from pnoise import structure as st
 from pnoise.bifiltration import build_h0
 from pnoise.errors import EmptyGrid, ParseError, ValidationError
 from pnoise.field import Mat
-from pnoise.grid import Bar, validate
+from pnoise.grid import Bar, make_module, validate
 from pnoise.modfile import (barcode_from_csv, barcode_to_csv, parse_module,
                             write_module)
 
@@ -42,6 +42,21 @@ def test_parse_error_reports_line():
     with pytest.raises(ParseError) as e:
         parse_module(broken)
     assert e.value.line >= 1
+
+
+@pytest.mark.parametrize("p", ["4", "1", "9"])
+def test_non_prime_field_rejected(p):
+    text = write_module(ga.line_module())
+    with pytest.raises(ParseError, match="prime"):
+        parse_module(text.replace("p 3", f"p {p}", 1))
+
+
+def test_non_prime_field_rejected_by_builders():
+    for p in (4, 1, 0, -3):
+        with pytest.raises(ValueError, match="prime"):
+            make_module(1, Q(1), 1, p, {(0,): 1})
+        with pytest.raises(ValueError, match="prime"):
+            build_h0(points=[(0,)], scale_grid=[1], density_grid=[0], p=p)
 
 
 def test_non_commuting_square_rejected():

@@ -154,6 +154,15 @@ def test_span_submodule_single_seed():
     assert st.is_closed(S)
 
 
+def test_span_submodule_refuses_malformed_seeds():
+    # a check that stays under python -O: no seed is truncated or dropped
+    F = make_bar(Bar((0,), (2,)), 2, Q(1), 2)
+    assert F.dims[(0,)] == 1
+    for seed in (((0,), (1, 1, 1)), ((0,), ()), ((3,), (1,))):
+        with pytest.raises(ValueError):
+            st.span_submodule(F, [seed])
+
+
 def test_quotient_by_submodule_dims():
     F = line_module_f3()
     S = st.span_submodule(F, [((0,), (1, 0, 0))])
