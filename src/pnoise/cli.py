@@ -110,10 +110,6 @@ def _parse_t_list(text):
     return [_parse_q(x, "--t") for x in text.split(",") if x.strip()]
 
 
-def _fmt_q(q):
-    return mf._fmt_q(q)
-
-
 # -- subcommand bodies -----------------------------------------------------
 
 
@@ -127,12 +123,12 @@ def cmd_info(args):
     b0 = st.betti0(F)
     print(f"p {F.p}")
     print(f"r {F.r}")
-    print(f"alpha {_fmt_q(F.alpha)}")
+    print(f"alpha {mf._fmt_q(F.alpha)}")
     print(f"box {F.box}")
     print(f"total_dim {F.total_dim()}")
     print(f"rank {sum(b0.values())}")
     print("betti0 " + "; ".join(
-        f"({','.join(_fmt_q(c) for c in g)})x{m}"
+        f"({','.join(mf._fmt_q(c) for c in g)})x{m}"
         for g, m in sorted(b0.items())))
 
 
@@ -157,7 +153,7 @@ def cmd_fcf(args):
         fcf, flags = out.fcf, out.flags
     _write_out(fc.fcf_to_csv(fcf), args.csv)
     for t, exact in flags:
-        print(f"t={_fmt_q(t)} value={fcf.value(t)} "
+        print(f"t={mf._fmt_q(t)} value={fcf.value(t)} "
               f"exact={'true' if exact else 'false'}")
 
 
@@ -170,7 +166,7 @@ def cmd_distance_fcf(args):
             raise CliError(EXIT_PARSE, "parse", e.reason,
                            f"{path}:{e.line}") from None
     d = fc.fcf_interleaving_distance(*fs)
-    print("inf" if d == ns.INFINITE else _fmt_q(d))
+    print("inf" if d == ns.INFINITE else mf._fmt_q(d))
 
 
 def cmd_denoise(args):
@@ -181,7 +177,7 @@ def cmd_denoise(args):
         d = dn.quotient_denoise(spec, F, t)
     else:
         d = dn.subfunctor_denoise(spec, F, t, engine=args.engine)
-    comment = (f"denoised t={_fmt_q(t)} mode={d.mode} "
+    comment = (f"denoised t={mf._fmt_q(t)} mode={d.mode} "
                f"certified={'true' if d.certified else 'false'}")
     _write_out(mf.write_module(d.module, comments=[comment]), args.out)
     print(f"rank {d.rank} certified {'true' if d.certified else 'false'}",

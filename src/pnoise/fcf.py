@@ -28,8 +28,8 @@ from . import structure as st
 from .errors import (NotClosedUnderSums, NotOneDimensional,
                      SearchSpaceTooLarge, UnsupportedNoise)
 from .field import Mat
-from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
-                   require_same_shape, unit)
+from .grid import (GridModule, add, clip, evaluate_map, make_bar,
+                   modules_equal, require_same_shape, unit)
 from .noise import INFINITE
 
 EXHAUSTIVE_WORK_CAP = 2 ** 15  # closed submodules the exhaustive walk scores
@@ -148,10 +148,8 @@ def bar_r1(spec, F: GridModule) -> FeatureCountingFunction:
     if F.r != 1:
         raise NotOneDimensional(f"r={F.r}")
     bars = bc.decompose(F)
-    sizes = []
-    for b in bars:
-        piece = bc.reconstruct([b], F.box, F.alpha, F.p)
-        sizes.append(ns.noise_size(spec, piece))
+    sizes = [ns.noise_size(spec, make_bar(b, F.box, F.alpha, F.p))
+             for b in bars]
     if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
         for s in sizes:
             if s != INFINITE and s > 0 and not ns.closed_under_sums(spec, s):
@@ -292,6 +290,26 @@ def _scored_submodules(spec, F: GridModule):
         yield rank, ns.quotient_size(scorer, S), S
 
 
+# -- F_p-combinations -------------------------------------------------------
+
+
+def _combinations(vecs, length, p):
+    """The F_p-combinations sum c_i vecs[i] of flat vectors of one length,
+    in `itertools.product` order of the coefficients c, the zero
+    combination first; past ORBIT_COMBO_CAP combinations only the vectors
+    themselves. The orbit pool, the closeness bound and the interleaving
+    walk all try candidates this way."""
+    if p ** len(vecs) > ORBIT_COMBO_CAP:
+        yield from vecs
+        return
+    for coeffs in itertools.product(range(p), repeat=len(vecs)):
+        acc = (0,) * length
+        for c, vec in zip(coeffs, vecs):
+            if c:
+                acc = tuple((a + c * b) % p for a, b in zip(acc, vec))
+        yield acc
+
+
 # -- generator orbit search ------------------------------------------------
 
 
@@ -311,23 +329,8 @@ def _orbit_pool(spec, F: GridModule, t):
             at_point.setdefault(w, set()).add(img)
     pool = []
     for w, vecs in at_point.items():
-        vecs = sorted(vecs)
-        combos = set()
-        n = len(vecs)
-        total = F.p ** n
-        if total > ORBIT_COMBO_CAP:
-            combos.update(vecs)
-        else:
-            for coeffs in itertools.product(range(F.p), repeat=n):
-                if not any(coeffs):
-                    continue
-                acc = [0] * F.dims[w]
-                for c, vec in zip(coeffs, vecs):
-                    if c:
-                        acc = [(a + c * b) % F.p for a, b in zip(acc, vec)]
-                if any(acc):
-                    combos.add(tuple(acc))
-        pool.extend((w, vec) for vec in sorted(combos))
+        combos = set(_combinations(sorted(vecs), F.dims[w], F.p))
+        pool.extend((w, vec) for vec in sorted(combos) if any(vec))
     return pool
 
 
@@ -460,46 +463,37 @@ def natural_map_space(F: GridModule, G: GridModule):
                 rows.append(row)
     ker = fp.kernel_basis(Mat.from_rows(rows, F.p) if rows
                           else Mat.zeros(0, total, F.p))
-    maps = []
-    for vec in ker.columns():
-        mats = {}
-        for v in F.points():
-            n = F.dims[v]
-            mats[v] = Mat(F.p, G.dims[v], n, tuple(
-                vec[offs[v] + rr * n:offs[v] + (rr + 1) * n]
-                for rr in range(G.dims[v])))
-        maps.append(st.NatMap(F, G, mats))
-    return maps
+    return [_nat_map(F, G, vec) for vec in ker.columns()]
 
 
-def _coefficient_vectors(n, p, cap):
-    """The coefficient vectors over a basis of n maps that the searches
-    try: all p**n of them, or only the n unit vectors past cap."""
-    if p ** n > cap:
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return itertools.product(range(p), repeat=n)
-
-
-def _combinations_of_maps(basis, F, G):
-    for coeffs in _coefficient_vectors(len(basis), F.p, ORBIT_COMBO_CAP):
-        mats = {v: Mat.zeros(G.dims[v], F.dims[v], F.p) for v in F.points()}
-        for c, bmap in zip(coeffs, basis):
-            if c:
-                for v in F.points():
-                    mats[v] = mats[v] + bmap.mats[v].scale(c)
-        yield st.NatMap(F, G, mats)
+def _nat_map(F: GridModule, G: GridModule, vec):
+    """The natural map F -> G whose matrices phi_v: F(v) -> G(v) are stored
+    in vec one after another in point order, each row-major."""
+    mats, at = {}, 0
+    for v in F.points():
+        n = F.dims[v]
+        mats[v] = Mat(F.p, G.dims[v], n, tuple(
+            tuple(vec[at + rr * n:at + (rr + 1) * n])
+            for rr in range(G.dims[v])))
+        at += G.dims[v] * n
+    return st.NatMap(F, G, mats)
 
 
 def closeness_upper_bound(spec, F: GridModule, G: GridModule):
     """Certified upper bound on the closeness pseudometric: the best
-    equivalence budget among all natural maps F->G and G->F. Returns
-    (bound, witness NatMap or None)."""
+    equivalence budget among the natural maps F->G and G->F that
+    `_combinations` tries of a basis of each Hom space. Returns (bound,
+    witness NatMap or None)."""
     if modules_equal(F, G):
         return Fraction(0), st.identity_map(F)
     best, wit = INFINITE, None
     for (src, dst) in ((F, G), (G, F)):
-        basis = natural_map_space(src, dst)
-        for phi in _combinations_of_maps(basis, src, dst):
+        pts = list(src.points())
+        basis = [_flat([phi.mats[v] for v in pts])
+                 for phi in natural_map_space(src, dst)]
+        length = sum(dst.dims[v] * src.dims[v] for v in pts)
+        for vec in _combinations(basis, length, src.p):
+            phi = _nat_map(src, dst, vec)
             b = equivalence_budget(spec, phi).total()
             if b < best:
                 best, wit = b, phi
@@ -525,8 +519,7 @@ def _flat(mats):
     return tuple(x for m in mats for row in m.data for x in row)
 
 
-def is_interleaved(F: GridModule, G: GridModule, tau,
-                   cap=ORBIT_COMBO_CAP) -> bool:
+def is_interleaved(F: GridModule, G: GridModule, tau) -> bool:
     """Existence of tau-shifted maps phi: F -> G(-+tau) and psi: G ->
     F(-+tau) whose composites are the internal 2*tau shifts:
     psi_{v+tau} phi_v == F(v <= v+2tau) and phi_{v+tau} psi_v ==
@@ -537,12 +530,12 @@ def is_interleaved(F: GridModule, G: GridModule, tau,
     interleave exactly when sum a_i b_j C_ij == T, C_ij the flattened
     composites of Phi_i and Psi_j at every point and T the flattened
     2*tau shifts. If T is outside the span of all C_ij, no pair exists.
-    Otherwise candidates a are tried in turn, each a span test of T
-    against the columns sum_i a_i C_ij; past `cap` combinations only the
-    unit vectors are tried.
+    Otherwise the candidates a that `_combinations` yields are tried in
+    turn, each a span test of T against the columns sum_i a_i C_ij; past
+    `ORBIT_COMBO_CAP` combinations only the unit vectors are tried.
 
     True is always certified, and so is a False from the first span
-    test. A False after a walk past `cap` is not certified. F is
+    test. A False after a walk past the cap is not certified. F is
     tau-interleaved with itself through its own structure maps, so equal
     presentations answer True at once."""
     require_same_shape(F, G)
@@ -558,21 +551,25 @@ def is_interleaved(F: GridModule, G: GridModule, tau,
         return not any(target)
 
     after = {v: clip(add(v, tau), F.box) for v in F.points()}
-    table = [[_flat([psi.mats[after[v]] @ phi.mats[v] for v in after]
-                    + [phi.mats[after[v]] @ psi.mats[v] for v in after])
-              for psi in psis] for phi in phis]
+
+    def composites(phi, psi):
+        return ([psi.mats[after[v]] @ phi.mats[v] for v in after]
+                + [phi.mats[after[v]] @ psi.mats[v] for v in after])
+
+    # row i holds C_i1, ..., C_im one after another
+    rows = [_flat([m for psi in psis for m in composites(phi, psi)])
+            for phi in phis]
     length, p = len(target), F.p
     rhs = Mat.from_cols([target], length, p)
-    if not fp.solvable(Mat.from_cols([c for row in table for c in row],
+
+    def columns(vec):
+        return [vec[j * length:(j + 1) * length] for j in range(len(psis))]
+
+    if not fp.solvable(Mat.from_cols([c for row in rows for c in columns(row)],
                                      length, p), rhs):
         return False
-    for coeffs in _coefficient_vectors(len(phis), p, cap):
-        terms = [(c, cs) for c, cs in zip(coeffs, table) if c]
-        cols = [[sum(c * cs[j][k] for c, cs in terms) for k in range(length)]
-                for j in range(len(psis))]
-        if fp.solvable(Mat.from_cols(cols, length, p), rhs):
-            return True
-    return False
+    return any(fp.solvable(Mat.from_cols(columns(vec), length, p), rhs)
+               for vec in _combinations(rows, length * len(psis), p))
 
 
 def _shift_module(G: GridModule, tau):

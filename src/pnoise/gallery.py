@@ -14,7 +14,8 @@ from fractions import Fraction as Q
 
 from . import field as fp
 from .field import Mat
-from .grid import GridModule, add, box_points, leq, make_module, unit
+from .grid import (GridModule, add, box_points, indicator_module, leq,
+                   make_module, unit)
 from .structure import (minimal_generators, span_submodule,
                         submodule_to_module)
 
@@ -28,20 +29,6 @@ def line_module():
              ((2,), 0): Mat.from_rows([[1, 1]], 3),
              ((3,), 0): Mat.identity(1, 3)}
     return make_module(1, Q(1), 4, 3, dims, edges)
-
-
-def indicator_module(alive, box, p, r, alpha=Q(1)):
-    """K on the given set of lattice points, identity maps inside."""
-    dims = {v: 1 for v in box_points(r, box) if alive(v)}
-    edges = {}
-    for v in box_points(r, box):
-        for i in range(r):
-            if v[i] == box:
-                continue
-            w = add(v, unit(i, r))
-            if alive(v) and alive(w):
-                edges[(v, i)] = Mat.identity(1, p)
-    return make_module(r, alpha, box, p, dims, edges)
 
 
 def hook_module(box=2, p=2):

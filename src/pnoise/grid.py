@@ -173,21 +173,20 @@ def zero_module(r, alpha, box, p):
     return make_module(r, alpha, box, p, {})
 
 
+def indicator_module(alive, box, p, r, alpha=Fraction(1)):
+    """K on the lattice points where alive holds, identity maps inside."""
+    dims = {v: 1 for v in box_points(r, box) if alive(v)}
+    edges = {(v, i): Mat.identity(1, p) for v in dims for i in range(r)
+             if v[i] < box and add(v, unit(i, r)) in dims}
+    return make_module(r, alpha, box, p, dims, edges)
+
+
 def make_free(v, box, alpha, p, r=None):
     """Free module K(v,-): dim 1 on the up-set of v, identity edges."""
     r = len(v) if r is None else r
     if not leq(v, (box,) * r):
         raise OutOfBox(f"{v} outside box {box}")
-    dims = {u: 1 for u in box_points(r, box) if leq(v, u)}
-    edges = {}
-    for u in box_points(r, box):
-        for i in range(r):
-            if u[i] == box:
-                continue
-            w = add(u, unit(i, r))
-            if leq(v, u) and leq(v, w):
-                edges[(u, i)] = Mat.identity(1, p)
-    return make_module(r, alpha, box, p, dims, edges)
+    return indicator_module(lambda u: leq(v, u), box, p, r, alpha)
 
 
 def make_bar(bar: Bar, box, alpha, p, r=None):
@@ -197,20 +196,8 @@ def make_bar(bar: Bar, box, alpha, p, r=None):
         return make_free(bar.start, box, alpha, p, r)
     if not leq(bar.start, (box,) * r) or not leq(bar.end, (box + 1,) * r):
         raise OutOfBox(f"{bar} outside box {box}")
-
-    def inside(u):
-        return leq(bar.start, u) and not leq(bar.end, u)
-
-    dims = {u: 1 for u in box_points(r, box) if inside(u)}
-    edges = {}
-    for u in box_points(r, box):
-        for i in range(r):
-            if u[i] == box:
-                continue
-            w = add(u, unit(i, r))
-            if inside(u) and inside(w):
-                edges[(u, i)] = Mat.identity(1, p)
-    return make_module(r, alpha, box, p, dims, edges)
+    return indicator_module(
+        lambda u: leq(bar.start, u) and not leq(bar.end, u), box, p, r, alpha)
 
 
 def require_same_shape(F: GridModule, G: GridModule):

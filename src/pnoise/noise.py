@@ -58,6 +58,8 @@ class ConeNoise:
                            tuple(tuple(g) for g in self.generators))
         if not self.generators:
             raise ValueError("cone needs at least one generator")
+        if len({len(g) for g in self.generators}) != 1:
+            raise ValueError("cone generators must have one length")
         for g in self.generators:
             if all(c == 0 for c in g):
                 raise ValueError("cone generators must be nonzero")
@@ -80,6 +82,8 @@ class VNormNoise:
                            tuple(tuple(g) for g in self.vectors))
         if not self.vectors:
             raise ValueError("need at least one vector")
+        if len({len(g) for g in self.vectors}) != 1:
+            raise ValueError("vectors must have one length")
         for g in self.vectors:
             if all(c == 0 for c in g):
                 raise ValueError("vectors must be nonzero")
@@ -174,13 +178,17 @@ def _witness_system(spec, lo):
 
     Returns (cons, w_rows, norm_rows): cons says a >= 0 and w >= lo;
     w_rows[i] is w_i as a linear form in a; the witness's norm is its
-    largest norm row, which is w_i for cone specs and a_j for vnorm specs."""
+    largest norm row, which is w_i for cone specs and a_j for vnorm specs.
+    A target whose length is not the spec's r is refused."""
     if isinstance(spec, ConeNoise):
         dirs = spec.generators
     elif isinstance(spec, VNormNoise):
         dirs = spec.vectors
     else:
         raise UnsupportedNoise(type(spec).__name__)
+    if len(lo) != spec.r:
+        raise UnsupportedNoise(
+            f"noise directions have r={spec.r}, the module has r={len(lo)}")
     k = len(dirs)
     coeffs = [tuple(int(t == j) for t in range(k)) for j in range(k)]
     w_rows = [tuple(Fraction(d[i]) for d in dirs) for i in range(len(dirs[0]))]

@@ -5,13 +5,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .modfile import _fmt_q
+
 WIDTH, HEIGHT, MARGIN = 480, 300, 40
-
-
-def _fmt_q(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else \
-        f"{q.numerator}/{q.denominator}"
 
 
 def _header(title):

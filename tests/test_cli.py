@@ -123,6 +123,21 @@ def test_fcf_bad_noise(line_file, capsys):
     assert main(["fcf", line_file, "--noise", "wat", "--t", "1"]) == 2
 
 
+def test_fcf_ragged_noise_directions(hook_file, capsys):
+    assert main(["fcf", hook_file, "--noise", "cone:1,1;1", "--t", "1"]) == 2
+    e = stderr_json(capsys)
+    assert e["code"] == "parse" and "one length" in e["message"]
+
+
+def test_fcf_noise_of_another_r(line_file, hook_file, capsys):
+    for path, spec in ((hook_file, "cone:1"), (line_file, "cone:1,1"),
+                       (hook_file, "vnorm:1")):
+        assert main(["fcf", path, "--noise", spec, "--t", "1"]) == 3
+        e = stderr_json(capsys)
+        assert e["code"] == "validation" and "noise directions" in \
+            e["message"], (path, spec)
+
+
 def test_distance_fcf(tmp_path, capsys):
     f = tmp_path / "f.csv"
     g = tmp_path / "g.csv"

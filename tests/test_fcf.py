@@ -547,13 +547,83 @@ def test_interleaved_with_zero():
     assert not is_interleaved(make_free((0,), 4, Q(1), 2), Z, (1,))
 
 
+def _coefficient_vectors(n, p):
+    """The coefficient vectors over a basis of n maps that the searches
+    try: all p**n of them, or only the n unit vectors past the cap."""
+    if p ** n > fc.ORBIT_COMBO_CAP:
+        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return itertools.product(range(p), repeat=n)
+
+
+def _combinations_of_maps(basis, F, G):
+    """Those combinations of a basis of Hom(F, G), summed as maps."""
+    for coeffs in _coefficient_vectors(len(basis), F.p):
+        mats = {v: Mat.zeros(G.dims[v], F.dims[v], F.p) for v in F.points()}
+        for c, bmap in zip(coeffs, basis):
+            if c:
+                for v in F.points():
+                    mats[v] = mats[v] + bmap.mats[v].scale(c)
+        yield st.NatMap(F, G, mats)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_combinations_match_coefficient_vectors(monkeypatch, p):
+    rng = random.Random(p)
+    for n in range(6):
+        for length in (0, 1, 4):
+            vecs = [tuple(rng.randrange(p) for _ in range(length))
+                    for _ in range(n)]
+            for cap in (p ** n - 1, p ** n):
+                monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", cap)
+                want = [tuple(sum(c * vec[k] for c, vec in zip(cs, vecs)) % p
+                              for k in range(length))
+                        for cs in _coefficient_vectors(n, p)]
+                assert list(fc._combinations(vecs, length, p)) == want, \
+                    (n, length, cap)
+
+
+def _closeness_by_map_sums(spec, F, G):
+    """closeness_upper_bound with its candidates summed as maps."""
+    if grid.modules_equal(F, G):
+        return Q(0), st.identity_map(F)
+    best, wit = INFINITE, None
+    for src, dst in ((F, G), (G, F)):
+        basis = natural_map_space(src, dst)
+        for phi in _combinations_of_maps(basis, src, dst):
+            b = equivalence_budget(spec, phi).total()
+            if b < best:
+                best, wit = b, phi
+    return best, wit
+
+
+def test_closeness_bound_matches_map_sums(monkeypatch):
+    # a cap of 8 puts some Hom bases past it, where only the basis is tried
+    rng = random.Random(9)
+    for cap in (fc.ORBIT_COMBO_CAP, 8):
+        monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", cap)
+        for _ in range(15):
+            F = random_line_module(rng, box=3, p=2, maxdim=2, total_cap=4)
+            G = direct_sum(F, make_bar(random_bar(rng, 1, 3), 3, Q(1), 2)) \
+                if rng.random() < 0.5 else \
+                random_line_module(rng, box=3, p=2, maxdim=2, total_cap=4)
+            got, wit = closeness_upper_bound(RAY1, F, G)
+            want, want_wit = _closeness_by_map_sums(RAY1, F, G)
+            assert got == want, (F.dims, G.dims, cap)
+            assert (wit is None) == (want_wit is None)
+            if wit is not None:
+                assert (wit.source, wit.target) == \
+                    (want_wit.source, want_wit.target)
+                assert {v: m.data for v, m in wit.mats.items()} == \
+                    {v: m.data for v, m in want_wit.mats.items()}
+
+
 def _interleaved_by_brute_force(F, G, tau):
     """Try every pair phi: F -> G(-+tau), psi: G -> F(-+tau) and compare
     both composites with the internal 2*tau shifts."""
     two = tuple(2 * c for c in tau)
     sF, sG = fc._shift_module(F, tau), fc._shift_module(G, tau)
-    phis = list(fc._combinations_of_maps(natural_map_space(F, sG), F, sG))
-    psis = list(fc._combinations_of_maps(natural_map_space(G, sF), G, sF))
+    phis = list(_combinations_of_maps(natural_map_space(F, sG), F, sG))
+    psis = list(_combinations_of_maps(natural_map_space(G, sF), G, sF))
 
     def composes(a, b, X):
         return all(
@@ -707,19 +777,21 @@ def _interleave_pairs_r1(rng, count):
         yield F, G, (rng.randrange(box + 2),)
 
 
-def test_is_interleaved_matches_phi_systems_r1():
+def test_is_interleaved_matches_phi_systems_r1(monkeypatch):
     # a cap of 8 puts most walks past it, where only unit vectors are tried
     rng = random.Random(41)
     seen = set()
+    caps = (fc.ORBIT_COMBO_CAP, 8)
     for F, G, tau in _interleave_pairs_r1(rng, 150):
-        for cap in (fc.ORBIT_COMBO_CAP, 8):
-            got = is_interleaved(F, G, tau, cap)
+        for cap in caps:
+            monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", cap)
+            got = is_interleaved(F, G, tau)
             assert got == _interleaved_by_phi_systems(F, G, tau, cap), \
                 (F.dims, G.dims, tau, cap)
             n = len(natural_map_space(F, fc._shift_module(G, tau)))
             seen.add((cap, got, F.p ** n > cap))
     # both answers occur within each cap, and past the small one
-    assert {(cap, got, past) for cap in (fc.ORBIT_COMBO_CAP, 8)
+    assert {(cap, got, past) for cap in caps
             for got in (True, False) for past in (False, cap == 8)} <= seen
 
 
@@ -813,13 +885,20 @@ def test_is_interleaved_rejects_malformed_shifts():
     assert not is_interleaved(hook, Z2, (1, 1))
 
 
+def test_bar_search_refuses_a_spec_of_another_r():
+    with pytest.raises(UnsupportedNoise, match="r=1"):
+        bar_search(RAY1, hook_module(), [1])
+    with pytest.raises(UnsupportedNoise, match="r=2"):
+        bar_r1(DIAG2, line_module_f3())
+
+
 def test_zero_hom_space_has_the_empty_basis():
     Z = zero_module(1, Q(1), 3, 2)
     F = make_free((0,), 3, Q(1), 2)
     B = make_bar(Bar((0,), (1,)), 3, Q(1), 2)
     assert natural_map_space(Z, F) == []      # no unknowns
     assert natural_map_space(B, F) == []      # unknowns, trivial kernel
-    maps = list(fc._combinations_of_maps([], B, F))
+    maps = list(_combinations_of_maps([], B, F))
     assert len(maps) == 1 and all(m.is_zero() for m in maps[0].mats.values())
 
 

@@ -579,3 +579,26 @@ def test_parse_errors():
     for bad in ("nope", "cone:0,0", "dim:2@0", "domain:@1=circle(1)"):
         with pytest.raises((ParseError, ValueError)):
             parse_noise_spec(bad)
+
+
+def test_directions_must_have_one_length():
+    for kind in (ConeNoise, VNormNoise):
+        with pytest.raises(ValueError, match="one length"):
+            kind(((Q(1), Q(1)), (Q(1),)))
+    for bad in ("cone:1,1;1", "vnorm:1;0,1"):
+        with pytest.raises(ParseError, match="one length"):
+            parse_noise_spec(bad)
+
+
+def test_spec_of_another_r_is_refused():
+    # read on the first coordinate only, (0,1) would cost 0 under RAY1
+    bar = make_bar(Bar((0, 0), (3, 1)), 3, Q(1), 2)
+    for spec in (RAY1, VNormNoise(((Q(1),),))):
+        with pytest.raises(UnsupportedNoise, match="r=1"):
+            noise_size(spec, bar)
+    with pytest.raises(UnsupportedNoise, match="r=2"):
+        noise_size(DIAG2, make_bar(Bar((0,), (2,)), 4, Q(1), 2))
+    with pytest.raises(UnsupportedNoise):
+        noise.offset_cost(RAY1, (0, 1), 1)
+    with pytest.raises(UnsupportedNoise):
+        feasible_offsets(DIAG2, 1, 1, 1)
