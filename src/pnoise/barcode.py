@@ -11,15 +11,21 @@ from __future__ import annotations
 
 from . import field as fp
 from .errors import NotOneDimensional
-from .grid import Bar, GridModule, direct_sum, evaluate_map, make_bar, zero_module
+from .grid import Bar, GridModule, direct_sum, make_bar, zero_module
 
 
 def _rank_table(F: GridModule):
+    """(w, u) -> rank F(w <= u) for w <= u, each F(w <= u) one more edge on
+    the running product from w."""
     n = F.box
     rk = {}
     for w in range(n + 1):
-        for u in range(w, n + 1):
-            rk[(w, u)] = fp.rank(evaluate_map(F, (w,), (u,)))
+        rk[(w, w)] = F.dims[(w,)]
+        m = None
+        for u in range(w + 1, n + 1):
+            edge = F.edge((u - 1,), 0)
+            m = edge if m is None else edge @ m
+            rk[(w, u)] = fp.rank(m)
     return rk
 
 

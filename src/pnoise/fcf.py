@@ -369,16 +369,21 @@ class BarFunction:
         return self.fcf.value(t)
 
 
-def _check_cone(spec):
-    if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        return
-    raise UnsupportedNoise(
-        "bar search is proved for cone-shaped noise only")
+def _check_cone(spec, F: GridModule):
+    """Refuse a spec the searches are not proved for, or one whose
+    directions do not have F's r (the search may answer before any offset
+    cost is asked for)."""
+    if not isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
+        raise UnsupportedNoise(
+            "bar search is proved for cone-shaped noise only")
+    if spec.r != F.r:
+        raise UnsupportedNoise(
+            f"noise directions have r={spec.r}, the module has r={F.r}")
 
 
 def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
         -> BarFunction:
-    _check_cone(spec)
+    _check_cone(spec, F)
     t_values = sorted({Fraction(t) for t in t_values})
     full_rank = st.rank(F)
     if engine == "exhaustive":
@@ -417,7 +422,7 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
 def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
     """A submodule of minimal rank whose inclusion is quieter than t,
     together with the rank and an exactness flag."""
-    _check_cone(spec)
+    _check_cone(spec, F)
     t = Fraction(t)
     if engine == "exhaustive":
         hits = ((rk, S) for rk, sg, S in _scored_submodules(spec, F)
@@ -525,23 +530,92 @@ def is_interleaved(F: GridModule, G: GridModule, tau) -> bool:
     psi_{v+tau} phi_v == F(v <= v+2tau) and phi_{v+tau} psi_v ==
     G(v <= v+2tau). tau is in lattice steps of the common grid.
 
-    With bases Phi_1..Phi_n and Psi_1..Psi_m of the two Hom spaces, both
-    composites are bilinear: phi = sum a_i Phi_i and psi = sum b_j Psi_j
-    interleave exactly when sum a_i b_j C_ij == T, C_ij the flattened
-    composites of Phi_i and Psi_j at every point and T the flattened
-    2*tau shifts. If T is outside the span of all C_ij, no pair exists.
-    Otherwise the candidates a that `_combinations` yields are tried in
-    turn, each a span test of T against the columns sum_i a_i C_ij; past
-    `ORBIT_COMBO_CAP` combinations only the unit vectors are tried.
-
-    True is always certified, and so is a False from the first span
-    test. A False after a walk past the cap is not certified. F is
-    tau-interleaved with itself through its own structure maps, so equal
-    presentations answer True at once."""
+    F is tau-interleaved with itself through its own structure maps, so
+    equal presentations answer True at once. For r=1 the answer is
+    whether the two barcodes have a tau-matching (`_barcodes_match`); by
+    the isometry theorem (Lesnick, arXiv 1106.5305; Bauer-Lesnick, arXiv
+    1311.3681) that is exact, since a grid module clipped at its box is
+    the N-indexed module that is constant from the box on. Both r=1
+    answers are certified. For r >= 2 `_interleaved_by_hom_bases`
+    decides: its True is certified, and so is a False from its first span
+    test; a False after its walk past `ORBIT_COMBO_CAP` is not."""
     require_same_shape(F, G)
     tau = _lattice_shift(tau, F.r)
     if modules_equal(F, G):
         return True
+    if F.r == 1:
+        return _barcodes_match(bc.decompose(F), bc.decompose(G), tau[0])
+    return _interleaved_by_hom_bases(F, G, tau)
+
+
+def _barcodes_match(fs, gs, tau):
+    """Whether the barcodes fs and gs of two r=1 modules on one grid have a
+    tau-matching: a perfect matching, found by augmenting paths, in the
+    bipartite graph whose left side holds fs plus one slot per bar of gs
+    and whose right side holds gs plus one slot per bar of fs. Two bars
+    are joined when their starts and their ends are each within tau, a
+    bar alive at the box face (end None) joining only another such bar; a
+    finite bar at most 2*tau long is joined to its own slot; any two slots
+    are joined."""
+    def close(a, b):
+        if (a.end is None) != (b.end is None):
+            return False
+        return abs(a.start[0] - b.start[0]) <= tau and (
+            a.end is None or abs(a.end[0] - b.end[0]) <= tau)
+
+    def short(a):
+        return a.end is not None and a.end[0] - a.start[0] <= 2 * tau
+
+    nf, ng = len(fs), len(gs)
+    # right nodes: gs as 0..ng-1, then the slot of fs[i] as ng+i
+    adj = [[j for j, g in enumerate(gs) if close(f, g)]
+           + ([ng + i] if short(f) else []) for i, f in enumerate(fs)]
+    adj += [([j] if short(g) else []) + list(range(ng, ng + nf))
+            for j, g in enumerate(gs)]
+    mate_l, mate_r = {}, {}  # matched left -> right, right -> left
+
+    def free_end(root, came):
+        """The first unmatched right node that an alternating path from
+        root reaches, breadth first; came[w] is the left node before w."""
+        layer = [root]
+        while layer:
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if w not in came:
+                        came[w] = u
+                        if w not in mate_r:
+                            return w
+                        nxt.append(mate_r[w])
+            layer = nxt
+        return None
+
+    for root in range(nf + ng):
+        came = {}
+        end = free_end(root, came)
+        if end is None:
+            return False    # root stays unmatched in every maximum matching
+        while end is not None:  # flip the path, root to end, into mate_*
+            u = came[end]
+            prev = mate_l.get(u)
+            mate_l[u], mate_r[end] = end, u
+            end = prev
+    return True
+
+
+def _interleaved_by_hom_bases(F: GridModule, G: GridModule, tau) -> bool:
+    """`is_interleaved` for any r, tau a tuple of lattice steps, from bases
+    Phi_1..Phi_n and Psi_1..Psi_m of the two Hom spaces. Both composites
+    are bilinear: phi = sum a_i Phi_i and psi = sum b_j Psi_j interleave
+    exactly when sum a_i b_j C_ij == T, C_ij the flattened composites of
+    Phi_i and Psi_j at every point and T the flattened 2*tau shifts. If T
+    is outside the span of all C_ij, no pair exists. Otherwise the
+    candidates a that `_combinations` yields are tried in turn, each a
+    span test of T against the columns sum_i a_i C_ij; past
+    `ORBIT_COMBO_CAP` combinations only the unit vectors are tried.
+
+    True is always certified, and so is a False from the first span
+    test. A False after a walk past the cap is not certified."""
     two = tuple(2 * c for c in tau)
     phis = natural_map_space(F, _shift_module(G, tau))
     psis = natural_map_space(G, _shift_module(F, tau))

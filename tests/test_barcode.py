@@ -4,8 +4,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import structure as st
-from pnoise.barcode import bar_lengths, decompose, reconstruct
+from pnoise import field as fp, structure as st
+from pnoise.barcode import _rank_table, bar_lengths, decompose, reconstruct
 from pnoise.errors import NotOneDimensional
 from pnoise.field import Mat
 from pnoise.grid import (Bar, evaluate_map, make_bar, make_free, make_module,
@@ -94,3 +94,18 @@ def test_total_dim_conserved():
                         if b.start[0] <= v[0] and
                         (b.end is None or v[0] < b.end[0]))
             assert alive == F.dims[v]
+
+
+def _rank_table_by_pairs(F):
+    """rank F(w <= u) from one `evaluate_map` per pair, the table the
+    running products replace."""
+    return {(w, u): fp.rank(evaluate_map(F, (w,), (u,)))
+            for w in range(F.box + 1) for u in range(w, F.box + 1)}
+
+
+def test_rank_table_matches_per_pair_maps():
+    rng = random.Random(13)
+    for _ in range(80):
+        F = random_line_module(rng, box=rng.randrange(6),
+                               p=rng.choice([2, 3]), maxdim=3)
+        assert _rank_table(F) == _rank_table_by_pairs(F), (F.dims, F.p)

@@ -138,6 +138,14 @@ def test_fcf_noise_of_another_r(line_file, hook_file, capsys):
             e["message"], (path, spec)
 
 
+def test_fcf_noise_of_another_r_at_t_zero(hook_file, capsys):
+    # the orbit engine answers t <= 0 without asking any offset cost
+    assert main(["fcf", hook_file, "--noise", "cone:1", "--t", "0",
+                 "--engine", "orbit"]) == 3
+    e = stderr_json(capsys)
+    assert e["code"] == "validation" and "noise directions" in e["message"]
+
+
 def test_distance_fcf(tmp_path, capsys):
     f = tmp_path / "f.csv"
     g = tmp_path / "g.csv"

@@ -16,7 +16,8 @@ from pnoise.fcf import (EquivalenceBudget, FeatureCountingFunction,
                         closeness_upper_bound, constant_fcf,
                         equivalence_budget, fcf_from_csv,
                         fcf_interleaving_distance, fcf_to_csv,
-                        is_interleaved, make_fcf, natural_map_space)
+                        is_interleaved, make_fcf, minimal_rank_submodule,
+                        natural_map_space)
 from pnoise.field import Mat
 from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
                          zero_module)
@@ -760,11 +761,12 @@ def test_interleaved_two_bars():
     assert is_interleaved(F, G, (4,))       # shift 2
 
 
-def _interleave_pairs_r1(rng, count):
-    """Random r=1 pairs at p 2 and 3, box 0 to 4, each with a tau up to
-    box + 1: F against F plus one bar, or against another module."""
+def _interleave_pairs_r1(rng, count, primes=(2, 3)):
+    """Random r=1 pairs at p 2 and 3 (or the given primes), box 0 to 4,
+    each with a tau up to box + 1: F against F plus one bar, or against
+    another module."""
     for _ in range(count):
-        p, box = rng.choice((2, 3)), rng.randrange(5)
+        p, box = rng.choice(primes), rng.randrange(5)
         F = random_line_module(rng, box=box, p=p, maxdim=2,
                                total_cap=rng.randrange(1, 6))
         if rng.random() < 0.5:
@@ -778,14 +780,17 @@ def _interleave_pairs_r1(rng, count):
 
 
 def test_is_interleaved_matches_phi_systems_r1(monkeypatch):
-    # a cap of 8 puts most walks past it, where only unit vectors are tried
+    # a cap of 8 puts most walks past it, where only unit vectors are
+    # tried; r=1 queries to is_interleaved never walk, so that half calls
+    # the Hom-basis walk itself
     rng = random.Random(41)
     seen = set()
     caps = (fc.ORBIT_COMBO_CAP, 8)
+    decide = dict(zip(caps, (is_interleaved, fc._interleaved_by_hom_bases)))
     for F, G, tau in _interleave_pairs_r1(rng, 150):
         for cap in caps:
             monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", cap)
-            got = is_interleaved(F, G, tau)
+            got = decide[cap](F, G, tau)
             assert got == _interleaved_by_phi_systems(F, G, tau, cap), \
                 (F.dims, G.dims, tau, cap)
             n = len(natural_map_space(F, fc._shift_module(G, tau)))
@@ -845,6 +850,7 @@ def test_interleaved_with_an_empty_hom_basis(monkeypatch):
     assert natural_map_space(F, fc._shift_module(G, (1,))) == []
     calls = _count_solvable(monkeypatch)
     assert is_interleaved(F, G, (1,))
+    assert fc._interleaved_by_hom_bases(F, G, (1,))
     assert calls == []
 
 
@@ -855,8 +861,115 @@ def test_false_past_the_cap_is_certified_by_the_span_test(monkeypatch):
     n = len(natural_map_space(F, fc._shift_module(G, (0,))))
     assert F.p ** n > fc.ORBIT_COMBO_CAP
     calls = _count_solvable(monkeypatch)
-    assert not is_interleaved(F, G, (0,))
+    assert not fc._interleaved_by_hom_bases(F, G, (0,))
     assert len(calls) == 1
+
+
+# -- r=1 interleavings from the barcodes --------------------------------------
+
+
+def _bar(start, end=None):
+    return Bar((start,), None if end is None else (end,))
+
+
+def test_barcode_matching_rules():
+    match = fc._barcodes_match
+    # a bar alive at the box face matches only another such bar ...
+    assert not match([_bar(0, 5)], [_bar(0)], 9)
+    assert match([_bar(0)], [_bar(3)], 3)
+    assert not match([_bar(0)], [_bar(4)], 3)
+    # ... and is never left unmatched
+    assert not match([_bar(0)], [], 9)
+    assert not match([], [_bar(2)], 9)
+    # an unmatched finite bar is at most 2*tau long
+    assert match([_bar(1, 3)], [], 1) and match([], [_bar(1, 3)], 1)
+    assert not match([_bar(1, 4)], [], 1)
+    assert not match([], [_bar(1, 4)], 1)
+    # matched finite bars: starts within tau and ends within tau
+    assert match([_bar(0, 4)], [_bar(1, 5)], 1)
+    assert not match([_bar(0, 4)], [_bar(0, 6)], 1)
+    assert not match([_bar(0, 6)], [_bar(2, 6)], 1)
+    # a bar may take its partner only if what it displaces can go unmatched
+    assert match([_bar(0, 4), _bar(1, 3)], [_bar(1, 4)], 1)
+    assert not match([_bar(0, 4), _bar(0, 5)], [_bar(1, 4)], 1)
+    assert match([_bar(0), _bar(0, 9)], [_bar(1, 9), _bar(1)], 1)
+    # through the modules: a finite bar never stands in for a free one
+    box = 4
+    assert not is_interleaved(make_bar(_bar(0, 2), box, Q(1), 2),
+                              make_free((0,), box, Q(1), 2), (3,))
+    assert is_interleaved(make_bar(_bar(0, 2), box, Q(1), 2),
+                          make_bar(_bar(0, 4), box, Q(1), 2), (3,))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_barcode_matching_matches_the_walk_within_the_cap(p):
+    rng = random.Random(60 + p)
+    seen = set()
+    for F, G, tau in _interleave_pairs_r1(rng, 120, primes=(p,)):
+        n = len(natural_map_space(F, fc._shift_module(G, tau)))
+        if p ** n > fc.ORBIT_COMBO_CAP:
+            continue
+        got = is_interleaved(F, G, tau)
+        assert got == (grid.modules_equal(F, G)
+                       or fc._interleaved_by_hom_bases(F, G, tau)), \
+            (F.dims, G.dims, tau)
+        m = len(natural_map_space(G, fc._shift_module(F, tau)))
+        if p ** (n + m) <= 256:
+            assert got == _interleaved_by_brute_force(F, G, tau), \
+                (F.dims, G.dims, tau)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_barcode_matching_agrees_with_certified_walk_answers(monkeypatch):
+    # past a cap of 8 the walk tries unit vectors only: its True and a
+    # False from its span test (at most one span test run) are certified
+    monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", 8)
+    calls = _count_solvable(monkeypatch)
+    rng = random.Random(43)
+    seen = set()
+    for F, G, tau in _interleave_pairs_r1(rng, 150):
+        n = len(natural_map_space(F, fc._shift_module(G, tau)))
+        if F.p ** n <= 8:
+            continue
+        calls.clear()
+        walk = fc._interleaved_by_hom_bases(F, G, tau)
+        got = is_interleaved(F, G, tau)
+        if walk:
+            assert got, (F.dims, G.dims, tau)
+        elif len(calls) <= 1:
+            assert not got, (F.dims, G.dims, tau)
+        seen.add((walk, len(calls) <= 1))
+    assert {(True, False), (False, True)} <= seen
+
+
+def test_barcode_matching_finds_the_walks_false_negative(monkeypatch):
+    # two free bars at 2 against [0,2) plus two free bars at 2, tau 3: the
+    # walk past a cap of 8 tries only unit vectors and misses the pair
+    F = make_module(1, Q(1), 2, 2, {(2,): 2})
+    G = make_module(1, Q(1), 2, 2, {(0,): 1, (1,): 1, (2,): 2},
+                    {((0,), 0): Mat.identity(1, 2),
+                     ((1,), 0): Mat.zeros(2, 1, 2)})
+    assert fc._interleaved_by_hom_bases(F, G, (3,))
+    monkeypatch.setattr(fc, "ORBIT_COMBO_CAP", 8)
+    assert not fc._interleaved_by_hom_bases(F, G, (3,))
+    assert is_interleaved(F, G, (3,))
+
+
+def test_r1_interleavings_build_no_hom_basis(monkeypatch):
+    pairs = [(F, G, tau) for F, G, tau in
+             _interleave_pairs_r1(random.Random(44), 40)
+             if F.p ** len(natural_map_space(F, fc._shift_module(G, tau)))
+             <= fc.ORBIT_COMBO_CAP]
+    want = [grid.modules_equal(F, G) or fc._interleaved_by_hom_bases(F, G, tau)
+            for F, G, tau in pairs]
+
+    def refuse(*args):
+        raise AssertionError("an r=1 query built a Hom basis")
+
+    monkeypatch.setattr(fc, "natural_map_space", refuse)
+    assert [is_interleaved(F, G, tau) for F, G, tau in pairs] == want
+    assert True in want and False in want
 
 
 def test_hom_spaces_need_one_shape():
@@ -890,6 +1003,18 @@ def test_bar_search_refuses_a_spec_of_another_r():
         bar_search(RAY1, hook_module(), [1])
     with pytest.raises(UnsupportedNoise, match="r=2"):
         bar_r1(DIAG2, line_module_f3())
+
+
+def test_searches_refuse_a_spec_of_another_r_at_entry():
+    # t <= 0 answers before any offset cost is asked for
+    hook, line = hook_module(), line_module_f3()
+    for spec, F in ((RAY1, hook), (DIAG2, line),
+                    (ns.VNormNoise(((Q(1),),)), hook)):
+        for engine in ("exhaustive", "orbit"):
+            with pytest.raises(UnsupportedNoise, match="noise directions"):
+                bar_search(spec, F, [0], engine=engine)
+            with pytest.raises(UnsupportedNoise, match="noise directions"):
+                minimal_rank_submodule(spec, F, 0, engine=engine)
 
 
 def test_zero_hom_space_has_the_empty_basis():
