@@ -222,6 +222,8 @@ def cmd_build_h0(args):
 
 
 def cmd_export(args):
+    if not (args.svg or args.csv):
+        raise CliError(EXIT_PARSE, "parse", "need --svg and/or --csv")
     text = _read(args.input)
     stripped = text.lstrip()
     if stripped.startswith(mf.FORMAT_NAME):
@@ -245,8 +247,6 @@ def cmd_export(args):
         raise CliError(EXIT_PARSE, "parse",
                        "input is neither a module file nor an FCF csv",
                        args.input)
-    if not (args.svg or args.csv):
-        raise CliError(EXIT_PARSE, "parse", "need --svg and/or --csv")
 
 
 # -- wiring ----------------------------------------------------------------

@@ -9,7 +9,6 @@ representative by pushing generators up the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fcf as fc
@@ -20,13 +19,32 @@ from .grid import GridModule, add, unit
 from .noise import INFINITE
 
 
-@dataclass(frozen=True)
 class Denoising:
-    t: Fraction
-    module: GridModule
-    mode: str               # "quotient" | "subfunctor"
-    certified: bool
-    rank: int
+    """A denoised module at level t, with its mode, whether its rank is
+    certified minimal, and that rank. Immutable by convention."""
+    __slots__ = ("t", "module", "mode", "certified", "rank")
+
+    def __init__(self, t, module, mode, certified, rank):
+        self.t = t
+        self.module = module
+        self.mode = mode            # "quotient" | "subfunctor"
+        self.certified = certified
+        self.rank = rank
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.t, self.module, self.mode, self.certified, self.rank) == \
+            (other.t, other.module, other.mode, other.certified, other.rank)
+
+    def __hash__(self):
+        return hash((self.t, self.module, self.mode, self.certified,
+                     self.rank))
+
+    def __repr__(self):
+        return (f"Denoising(t={self.t!r}, module={self.module!r}, "
+                f"mode={self.mode!r}, certified={self.certified!r}, "
+                f"rank={self.rank!r})")
 
 
 def _exact_bar_value(spec, F, t):

@@ -17,7 +17,6 @@ one-parameter case has a closed form through the barcode.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,15 +38,15 @@ ORBIT_COMBO_CAP = 2 ** 12
 # -- step functions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FeatureCountingFunction:
     """Non-increasing step function. Each breakpoint is (t, value,
     drop_after); with drop_after the new value only applies strictly after
-    t, which lets e.g. a bar count keep its old value AT the drop point."""
-    breakpoints: tuple
+    t, which lets e.g. a bar count keep its old value AT the drop point.
+    Immutable by convention."""
+    __slots__ = ("breakpoints",)
 
-    def __post_init__(self):
-        bps = self.breakpoints
+    def __init__(self, breakpoints):
+        bps = breakpoints
         if not bps or bps[0][0] != 0:
             raise ValueError("need an initial breakpoint at t=0")
         ts = [b[0] for b in bps]
@@ -58,6 +57,18 @@ class FeatureCountingFunction:
             raise ValueError("values must be >= 0")
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be non-increasing")
+        self.breakpoints = breakpoints
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.breakpoints,) == (other.breakpoints,)
+
+    def __hash__(self):
+        return hash((self.breakpoints,))
+
+    def __repr__(self):
+        return f"FeatureCountingFunction(breakpoints={self.breakpoints!r})"
 
     def value(self, t):
         t = Fraction(t)
@@ -123,10 +134,25 @@ def fcf_interleaving_distance(f: FeatureCountingFunction,
 # -- equivalence budgets ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EquivalenceBudget:
-    tau: object  # Fraction or INFINITE; noise size of the kernel
-    mu: object   # noise size of the cokernel
+    """Noise sizes of a map's kernel and cokernel. Immutable by
+    convention."""
+    __slots__ = ("tau", "mu")
+
+    def __init__(self, tau, mu):
+        self.tau = tau  # Fraction or INFINITE; noise size of the kernel
+        self.mu = mu    # noise size of the cokernel
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tau, self.mu) == (other.tau, other.mu)
+
+    def __hash__(self):
+        return hash((self.tau, self.mu))
+
+    def __repr__(self):
+        return f"EquivalenceBudget(tau={self.tau!r}, mu={self.mu!r})"
 
     def total(self):
         if INFINITE in (self.tau, self.mu):
@@ -359,11 +385,28 @@ def _orbit_value(spec, F: GridModule, t):
 # -- the public search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BarFunction:
-    fcf: FeatureCountingFunction
-    flags: tuple  # ((t, exact_bool), ...) at the requested sample points
-    engine: str
+    """A bar search's answer: the step function, one exactness flag per
+    requested sample point, and the engine. Immutable by convention."""
+    __slots__ = ("fcf", "flags", "engine")
+
+    def __init__(self, fcf, flags, engine):
+        self.fcf = fcf
+        self.flags = flags  # ((t, exact_bool), ...) at the sample points
+        self.engine = engine
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.fcf, self.flags, self.engine) == \
+            (other.fcf, other.flags, other.engine)
+
+    def __hash__(self):
+        return hash((self.fcf, self.flags, self.engine))
+
+    def __repr__(self):
+        return (f"BarFunction(fcf={self.fcf!r}, flags={self.flags!r}, "
+                f"engine={self.engine!r})")
 
     def value(self, t):
         return self.fcf.value(t)

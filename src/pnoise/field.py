@@ -1,6 +1,9 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Matrices are immutable (tuple-of-tuples, row major) and carry their modulus.
+Matrices are tuple-of-tuples (row major) and carry their modulus. They are
+immutable by convention: every record class of the package is a plain
+`__slots__` class with no guard against assignment, so construction stays
+cheap, and no code assigns to a record's field after `__init__`.
 Everything downstream (edge maps, naturality systems, subspace enumeration)
 runs through this module, so the pivot rule is fixed once and for all:
 first nonzero entry in column order, no tie breaking needed since the
@@ -10,7 +13,6 @@ arithmetic is exact.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import DependentBasis, Infeasible
 
@@ -39,12 +41,28 @@ def _inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
 class Mat:
-    p: int
-    rows: int
-    cols: int
-    data: tuple  # tuple of row tuples, entries in [0, p)
+    """A rows x cols matrix over F_p. Immutable by convention."""
+    __slots__ = ("p", "rows", "cols", "data")
+
+    def __init__(self, p, rows, cols, data):
+        self.p = p
+        self.rows = rows
+        self.cols = cols
+        self.data = data  # tuple of row tuples, entries in [0, p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.rows, self.cols, self.data) == \
+            (other.p, other.rows, other.cols, other.data)
+
+    def __hash__(self):
+        return hash((self.p, self.rows, self.cols, self.data))
+
+    def __repr__(self):
+        return (f"Mat(p={self.p!r}, rows={self.rows!r}, cols={self.cols!r}, "
+                f"data={self.data!r})")
 
     # -- constructors ------------------------------------------------------
 

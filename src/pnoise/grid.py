@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import field as fp
@@ -37,25 +36,41 @@ def add(v, w):
     return tuple(a + b for a, b in zip(v, w))
 
 
-@dataclass(frozen=True)
 class Bar:
-    """Interval summand [start, end); end=None encodes a free summand K(start,-)."""
-    start: tuple
-    end: tuple | None = None
+    """Interval summand [start, end); end=None encodes a free summand
+    K(start,-). Immutable by convention."""
+    __slots__ = ("start", "end")
 
-    def __post_init__(self):
-        if self.end is not None and not leq(self.start, self.end):
-            raise NotComparable(f"bar start {self.start} not <= end {self.end}")
+    def __init__(self, start, end=None):
+        if end is not None and not leq(start, end):
+            raise NotComparable(f"bar start {start} not <= end {end}")
+        self.start = start
+        self.end = end
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __hash__(self):
+        return hash((self.start, self.end))
+
+    def __repr__(self):
+        return f"Bar(start={self.start!r}, end={self.end!r})"
 
 
-@dataclass(frozen=True)
 class GridModule:
-    r: int
-    alpha: Fraction
-    box: int
-    p: int
-    dims: dict           # point -> dim
-    edges: dict          # (point, axis) -> Mat
+    """A module on the lattice alpha*{0..box}^r. Immutable by convention:
+    no code changes its fields or its dicts after construction."""
+    __slots__ = ("r", "alpha", "box", "p", "dims", "edges")
+
+    def __init__(self, r, alpha, box, p, dims, edges):
+        self.r = r
+        self.alpha = alpha
+        self.box = box
+        self.p = p
+        self.dims = dims      # point -> dim
+        self.edges = edges    # (point, axis) -> Mat
 
     def __eq__(self, other):
         if not isinstance(other, GridModule):
@@ -65,6 +80,11 @@ class GridModule:
     def __hash__(self):
         # equal modules share their shape; the dicts are not hashable
         return hash((self.r, self.alpha, self.box, self.p))
+
+    def __repr__(self):
+        return (f"GridModule(r={self.r!r}, alpha={self.alpha!r}, "
+                f"box={self.box!r}, p={self.p!r}, dims={self.dims!r}, "
+                f"edges={self.edges!r})")
 
     def dim(self, v):
         return self.dims[clip(v, self.box)]
@@ -236,30 +256,6 @@ def rescale(F: GridModule, n: int) -> GridModule:
     return GridModule(F.r, F.alpha / n, box2, F.p, dims, edges)
 
 
-def with_box(F: GridModule, box2: int) -> GridModule:
-    """Enlarge the box; new points repeat the clipped boundary values."""
-    if box2 < F.box:
-        raise ValueError("cannot shrink the box")
-    if box2 == F.box:
-        return F
-    dims = {}
-    edges = {}
-    for u in box_points(F.r, box2):
-        cu = clip(u, F.box)
-        dims[u] = F.dims[cu]
-        for i in range(F.r):
-            if u[i] == box2:
-                continue
-            if u[i] < F.box and leq(u, (F.box,) * F.r):
-                edges[(u, i)] = F.edge(u, i)
-            elif u[i] >= F.box:
-                edges[(u, i)] = Mat.identity(F.dims[cu], F.p)
-            else:
-                # inside along axis i but clipped elsewhere
-                edges[(u, i)] = F.edge(cu, i)
-    return GridModule(F.r, F.alpha, box2, F.p, dims, edges)
-
-
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(math.gcd(a.numerator * b.denominator,
                              b.numerator * a.denominator),
@@ -291,17 +287,6 @@ def translate(F: GridModule, w) -> GridModule:
                 continue
             edges[(u, i)] = evaluate_map(F, src(u), src(add(u, unit(i, F.r))))
     return GridModule(F.r, mu, box2, F.p, dims, edges)
-
-
-def normalize_pair(F: GridModule, G: GridModule):
-    """Rescale/rebox both modules to a common (alpha, box) presentation."""
-    if F.r != G.r or F.p != G.p:
-        raise IncompatibleShape("different r or p")
-    a = _frac_gcd(F.alpha, G.alpha)
-    F2 = rescale(F, int(F.alpha / a))
-    G2 = rescale(G, int(G.alpha / a))
-    box = max(F2.box, G2.box)
-    return with_box(F2, box), with_box(G2, box)
 
 
 def modules_equal(F: GridModule, G: GridModule) -> bool:

@@ -11,9 +11,8 @@ Fourier-Motzkin elimination over the rationals, so the answers are exact.
 Cone and vnorm specs share one witness system, w = sum a_j d_j with a >= 0
 dominating a target; they differ only in the linear forms whose maximum is
 the witness's norm (w_i for cones, a_j for vnorm). Offset costs, feasible
-offsets and the closure-under-sums test all start from it. Membership,
-certificates and the union-of-rays helper share one loop that looks for a
-killing offset of each nonzero element.
+offsets and the closure-under-sums test all start from it. Membership
+looks for a killing offset of each nonzero element.
 
 `quotient_size` applies the same kill rule to a quotient F/S without
 building it: x in F(v) dies in F/S along m when F(v <= v+m)x lies in
@@ -27,7 +26,6 @@ them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,72 +45,105 @@ ELEMENT_CAP = 2 ** 16
 # -- spec types ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ConeNoise:
-    """Shifts along the cone spanned by the generators, sup-norm sized."""
-    generators: tuple  # tuple of tuples of Fraction, componentwise >= 0
+    """Shifts along the cone spanned by the generators, sup-norm sized.
+    Immutable by convention."""
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        # tuples keep the spec hashable, and so a key of the cost-table memo
-        object.__setattr__(self, "generators",
-                           tuple(tuple(g) for g in self.generators))
-        if not self.generators:
+    def __init__(self, generators):
+        # tuples keep the spec hashable, and so a key of the cost-table memo;
+        # entries are Fractions, componentwise >= 0
+        generators = tuple(tuple(g) for g in generators)
+        if not generators:
             raise ValueError("cone needs at least one generator")
-        if len({len(g) for g in self.generators}) != 1:
+        if len({len(g) for g in generators}) != 1:
             raise ValueError("cone generators must have one length")
-        for g in self.generators:
+        for g in generators:
             if all(c == 0 for c in g):
                 raise ValueError("cone generators must be nonzero")
             if any(c < 0 for c in g):
                 raise ValueError("cone generators must be componentwise >= 0")
+        self.generators = generators
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators,) == (other.generators,)
+
+    def __hash__(self):
+        return hash((self.generators,))
+
+    def __repr__(self):
+        return f"ConeNoise(generators={self.generators!r})"
 
     @property
     def r(self):
         return len(self.generators[0])
 
 
-@dataclass(frozen=True)
 class VNormNoise:
     """Shifts measured by the smallest max-coefficient representation
-    w = sum a_k v_k with a_k >= 0."""
-    vectors: tuple
+    w = sum a_k v_k with a_k >= 0. Immutable by convention."""
+    __slots__ = ("vectors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vectors",
-                           tuple(tuple(g) for g in self.vectors))
-        if not self.vectors:
+    def __init__(self, vectors):
+        vectors = tuple(tuple(g) for g in vectors)
+        if not vectors:
             raise ValueError("need at least one vector")
-        if len({len(g) for g in self.vectors}) != 1:
+        if len({len(g) for g in vectors}) != 1:
             raise ValueError("vectors must have one length")
-        for g in self.vectors:
+        for g in vectors:
             if all(c == 0 for c in g):
                 raise ValueError("vectors must be nonzero")
             if any(c < 0 for c in g):
                 raise ValueError("vectors must be componentwise >= 0")
+        self.vectors = vectors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vectors,) == (other.vectors,)
+
+    def __hash__(self):
+        return hash((self.vectors,))
+
+    def __repr__(self):
+        return f"VNormNoise(vectors={self.vectors!r})"
 
     @property
     def r(self):
         return len(self.vectors[0])
 
 
-@dataclass(frozen=True)
 class DomainNoise:
     """F is eps-small when its support sits inside the region at level eps.
 
     steps: ((eps, boxes), ...) sorted by eps; boxes are half-open
     (lo, hi) with hi component None meaning unbounded. Regions must be
-    nested upward in eps.
+    nested upward in eps. Immutable by convention.
     """
-    steps: tuple
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
-        eps_vals = [s[0] for s in self.steps]
+    def __init__(self, steps):
+        eps_vals = [s[0] for s in steps]
         if eps_vals != sorted(eps_vals) or len(set(eps_vals)) != len(eps_vals):
             raise ValueError("steps must be strictly increasing in eps")
-        for (_, lo_boxes), (_, hi_boxes) in zip(self.steps, self.steps[1:]):
+        for (_, lo_boxes), (_, hi_boxes) in zip(steps, steps[1:]):
             for lo, hi in lo_boxes:
                 if not _cell_covered(lo, hi, hi_boxes):
                     raise ValueError("domain regions must be nested in eps")
+        self.steps = steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps,) == (other.steps,)
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self):
+        return f"DomainNoise(steps={self.steps!r})"
 
     def region(self, eps):
         best = ()
@@ -122,16 +153,16 @@ class DomainNoise:
         return best
 
 
-@dataclass(frozen=True)
 class DimensionNoise:
     """F is eps-small when dim F(v) <= n(eps) everywhere.
 
     steps: ((eps, n), ...) sorted; the threshold is the value at the largest
     breakpoint <= eps (0 before the first one). The sequence must be
-    superadditive: n(a) + n(b) <= n(a+b)."""
-    steps: tuple
+    superadditive: n(a) + n(b) <= n(a+b). Immutable by convention."""
+    __slots__ = ("steps",)
 
-    def __post_init__(self):
+    def __init__(self, steps):
+        self.steps = steps
         eps_vals = [s[0] for s in self.steps]
         if eps_vals != sorted(eps_vals) or len(set(eps_vals)) != len(eps_vals):
             raise ValueError("steps must be strictly increasing in eps")
@@ -148,6 +179,17 @@ class DimensionNoise:
                     raise ValueError(
                         f"thresholds not superadditive at {a}+{b}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps,) == (other.steps,)
+
+    def __hash__(self):
+        return hash((self.steps,))
+
+    def __repr__(self):
+        return f"DimensionNoise(steps={self.steps!r})"
+
     def threshold(self, eps):
         n = 0
         for e, val in self.steps:
@@ -156,13 +198,25 @@ class DimensionNoise:
         return n
 
 
-@dataclass(frozen=True)
 class Intersection:
-    parts: tuple
+    """eps-small for every part at once. Immutable by convention."""
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if not self.parts:
+    def __init__(self, parts):
+        if not parts:
             raise ValueError("need at least one part")
+        self.parts = parts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parts,) == (other.parts,)
+
+    def __hash__(self):
+        return hash((self.parts,))
+
+    def __repr__(self):
+        return f"Intersection(parts={self.parts!r})"
 
 
 # -- offset costs ----------------------------------------------------------
@@ -311,26 +365,23 @@ def _elements(dim, p):
     return itertools.product(range(p), repeat=dim)
 
 
-def _kills(F: GridModule, offsets):
-    """Yield (v, x, m) for every nonzero element x of every F(v), where m
-    is the first of the offsets with F(v <= v+m)x == 0, or None."""
-    for v in F.points():
-        if F.dims[v] == 0:
-            continue
-        mats = [(m, evaluate_map(F, v, add(v, m))) for m in offsets]
-        for x in _elements(F.dims[v], F.p):
-            if any(x):
-                yield v, x, next(
-                    (m for m, mat in mats if not any(mat.apply(x))), None)
-
-
 def _cone_contains(spec, F: GridModule, eps):
+    """Is every nonzero element of every F(v) killed, F(v <= v+m)x == 0, by
+    some offset m of cost <= eps? With a quiet corner that is one map per
+    point; otherwise each element is tried against the maximal offsets."""
     maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
                                                eps)
     if corner_ok:
         return all(evaluate_map(F, v, add(v, corner)).is_zero()
                    for v in F.points() if F.dims[v])
-    return all(m is not None for _, _, m in _kills(F, maximal))
+    for v in F.points():
+        if F.dims[v] == 0:
+            continue
+        mats = [evaluate_map(F, v, add(v, m)) for m in maximal]
+        if not all(any(not any(mat.apply(x)) for mat in mats)
+                   for x in _elements(F.dims[v], F.p) if any(x)):
+            return False
+    return True
 
 
 def contains(spec, F: GridModule, eps) -> bool:
@@ -350,15 +401,6 @@ def contains(spec, F: GridModule, eps) -> bool:
     if isinstance(spec, Intersection):
         return all(contains(part, F, eps) for part in spec.parts)
     raise UnsupportedNoise(type(spec).__name__)
-
-
-def offset_certificate(spec, F: GridModule, eps):
-    """Per nonzero element, a killing lattice offset of cost <= eps, or
-    None when that element has no witness (cone-shaped specs only)."""
-    if not isinstance(spec, (ConeNoise, VNormNoise)):
-        raise UnsupportedNoise("certificates exist for cone-shaped specs only")
-    maximal, _, _ = _kill_offsets(spec, F.alpha, F.box, F.r, Fraction(eps))
-    return {(v, x): m for v, x, m in _kills(F, maximal)}
 
 
 def noise_size(spec, F: GridModule):
@@ -606,21 +648,6 @@ def max_noise_below(spec, F: GridModule, t) -> Submodule:
         from .structure import zero_submodule
         return zero_submodule(F)
     return max_noise_submodule(spec, F, max(below))
-
-
-# -- union-of-rays demonstration helper ------------------------------------
-
-
-def in_ray_union(F: GridModule, rays, eps) -> bool:
-    """Does every nonzero element die along *some* single ray shift of norm
-    eps? This set-valued variant is not a noise system (it fails additivity)
-    and exists to demonstrate why cones are required."""
-    eps = Fraction(eps)
-    offsets = []
-    for g in rays:
-        n = _sup_norm(g)
-        offsets.append(tuple(int(eps * Fraction(c) / n / F.alpha) for c in g))
-    return all(m is not None for _, _, m in _kills(F, offsets))
 
 
 # -- CLI string form -------------------------------------------------------

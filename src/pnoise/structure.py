@@ -9,25 +9,55 @@ therefore reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import field as fp
-from .errors import NonNatural, NotClosed
+from .errors import NotClosed
 from .field import Mat
 from .grid import GridModule, add, evaluate_map, leq, unit
 
 
-@dataclass(frozen=True)
 class NatMap:
-    source: GridModule
-    target: GridModule
-    mats: dict  # point -> Mat
+    """A natural map source -> target, one matrix per lattice point.
+    Immutable by convention; unhashable, since mats is a dict."""
+    __slots__ = ("source", "target", "mats")
+
+    def __init__(self, source, target, mats):
+        self.source = source
+        self.target = target
+        self.mats = mats  # point -> Mat
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.mats) == \
+            (other.source, other.target, other.mats)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.mats))
+
+    def __repr__(self):
+        return (f"NatMap(source={self.source!r}, target={self.target!r}, "
+                f"mats={self.mats!r})")
 
 
-@dataclass(frozen=True)
 class Submodule:
-    parent: GridModule
-    basis: dict  # point -> Mat with independent, column-reduced columns
+    """A subfunctor of parent, one basis per lattice point. Immutable by
+    convention; unhashable, since basis is a dict."""
+    __slots__ = ("parent", "basis")
+
+    def __init__(self, parent, basis):
+        self.parent = parent
+        self.basis = basis  # point -> Mat, independent column-reduced columns
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.parent, self.basis) == (other.parent, other.basis)
+
+    def __hash__(self):
+        return hash((self.parent, self.basis))
+
+    def __repr__(self):
+        return f"Submodule(parent={self.parent!r}, basis={self.basis!r})"
 
     def dim(self, v):
         return self.basis[v].cols
@@ -38,34 +68,8 @@ def order(points):
     return sorted(points, key=lambda v: (sum(v), v))
 
 
-def check_natural(phi: NatMap):
-    F, G = phi.source, phi.target
-    if (F.r, F.alpha, F.box, F.p) != (G.r, G.alpha, G.box, G.p):
-        raise NonNatural("source/target presentations differ")
-    for v in F.points():
-        m = phi.mats[v]
-        if (m.rows, m.cols) != (G.dims[v], F.dims[v]):
-            raise NonNatural(f"shape mismatch at {v}")
-        for i in range(F.r):
-            if v[i] == F.box:
-                continue
-            w = add(v, unit(i, F.r))
-            lhs = phi.mats[w] @ F.edge(v, i)
-            rhs = G.edge(v, i) @ m
-            if lhs.data != rhs.data:
-                raise NonNatural(f"naturality fails at {v} axis {i}")
-    return True
-
-
 def identity_map(F: GridModule) -> NatMap:
     return NatMap(F, F, {v: Mat.identity(F.dims[v], F.p) for v in F.points()})
-
-
-def compose(phi: NatMap, psi: NatMap) -> NatMap:
-    """phi after psi."""
-    assert psi.target is phi.source or psi.target.dims == phi.source.dims
-    return NatMap(psi.source, phi.target,
-                  {v: phi.mats[v] @ psi.mats[v] for v in psi.source.points()})
 
 
 # -- submodule helpers -----------------------------------------------------
@@ -81,24 +85,6 @@ def full_submodule(F: GridModule) -> Submodule:
 
 def submodules_equal(S: Submodule, T: Submodule) -> bool:
     return all(S.basis[v].data == T.basis[v].data for v in S.parent.points())
-
-
-def submodule_contains(S: Submodule, T: Submodule) -> bool:
-    """Is span(T) <= span(S) pointwise?"""
-    return all(fp.span_contains(S.basis[v], T.basis[v])
-               for v in S.parent.points())
-
-
-def is_closed(S: Submodule) -> bool:
-    F = S.parent
-    for v in F.points():
-        for i in range(F.r):
-            if v[i] == F.box:
-                continue
-            w = add(v, unit(i, F.r))
-            if not fp.span_contains(S.basis[w], F.edge(v, i) @ S.basis[v]):
-                return False
-    return True
 
 
 # -- radical / betti -------------------------------------------------------
@@ -269,12 +255,3 @@ def minimal_cover(F: GridModule) -> NatMap:
         mats[v] = Mat.from_cols(cols, F.dims[v], p)
     return NatMap(H, F, mats)
 
-
-def is_epi(phi: NatMap) -> bool:
-    return all(fp.rank(phi.mats[v]) == phi.target.dims[v]
-               for v in phi.source.points())
-
-
-def is_mono(phi: NatMap) -> bool:
-    return all(fp.rank(phi.mats[v]) == phi.source.dims[v]
-               for v in phi.source.points())

@@ -225,6 +225,16 @@ def test_export_needs_target(line_file, capsys):
     assert main(["export", line_file]) == 2
 
 
+def test_export_checks_its_flags_before_reading(hook_file, tmp_path, capsys):
+    f = tmp_path / "f.csv"
+    f.write_text("t,value\n0,3\n1,1\n")
+    for path in (hook_file, str(f)):     # an r=2 module, an FCF csv
+        assert main(["export", path]) == 2
+        e = stderr_json(capsys)
+        assert e["code"] == "parse"
+        assert e["message"] == "need --svg and/or --csv"
+
+
 def test_field_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PNOISE_FIELD", "5")
     pts = tmp_path / "pts.csv"

@@ -24,6 +24,7 @@ from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
 from pnoise.noise import INFINITE, ConeNoise
 
 from conftest import random_bar, random_line_module, random_sum_module
+from module_checks import check_natural
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -140,7 +141,7 @@ def test_budget_of_free_inclusion():
     mats = {v: (Mat.identity(1, 2) if v >= (2,)
                 else Mat.zeros(1, 0, 2)) for v in big.points()}
     incl = st.NatMap(small, big, mats)
-    st.check_natural(incl)
+    check_natural(incl)
     b = equivalence_budget(RAY1, incl)
     assert (b.tau, b.mu) == (0, 2)
 
@@ -507,7 +508,7 @@ def test_walk_memo_matches_unmemoised_walk(monkeypatch):
 def test_natural_map_space_is_natural():
     F = line_module_f3()
     for phi in natural_map_space(F, F):
-        st.check_natural(phi)
+        check_natural(phi)
 
 
 def test_closeness_identical():

@@ -10,8 +10,8 @@ from pnoise.errors import (IncompatibleShape, NonCommutingSquare,
 from pnoise.field import Mat, rank
 from pnoise.grid import (Bar, GridModule, direct_sum, evaluate_map,
                          evaluate_rational, make_bar, make_free, make_module,
-                         modules_equal, normalize_pair, rescale, translate,
-                         validate, with_box, zero_module)
+                         modules_equal, rescale, translate, validate,
+                         zero_module)
 
 
 from conftest import random_line_module, random_sum_module
@@ -168,23 +168,6 @@ def test_rescale_composes():
     for _ in range(30):
         q = (Q(rng.randrange(0, 24), 6),)
         assert evaluate_rational(A, q)[0] == evaluate_rational(B, q)[0]
-
-
-def test_with_box_extends_by_clipping():
-    F = make_bar(Bar((0,), (2,)), 2, Q(1), 2)
-    G = with_box(F, 5)
-    assert [G.dims[(i,)] for i in range(6)] == [1, 1, 0, 0, 0, 0]
-    validate(G)
-
-
-def test_normalize_pair():
-    F = make_free((0,), 2, Q(1), 2)
-    G = make_free((1,), 3, Q(1, 2), 2)
-    F2, G2 = normalize_pair(F, G)
-    assert F2.alpha == G2.alpha == Q(1, 2) and F2.box == G2.box
-    for k in range(10):
-        q = (Q(k, 2),)
-        assert evaluate_rational(F2, q)[0] == evaluate_rational(F, q)[0]
 
 
 def test_path_independence_random_r2():

@@ -1,7 +1,12 @@
-"""Every module-level import in src/pnoise is used. Files that define
-__all__ re-export names by design and are skipped."""
+"""Every module-level import in src/pnoise is used (files that define
+__all__ re-export names by design and are skipped), and the package keeps
+its start-up small: no module imports `dataclasses`, and importing the CLI
+loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pnoise"
@@ -40,3 +45,32 @@ def test_no_unused_module_level_imports():
         if not defines_all(tree) and unused_imports(tree):
             found[path.name] = unused_imports(tree)
     assert found == {}
+
+
+def imports_of(tree):
+    """Top-level names of every module the tree imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    assert "dataclasses" in imports_of(ast.parse(
+        "def f():\n    from dataclasses import dataclass\n"))
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "dataclasses" in imports_of(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pnoise.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

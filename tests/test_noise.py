@@ -11,9 +11,8 @@ from pnoise.grid import (Bar, GridModule, direct_sum, make_bar, make_free,
                          make_module, modules_iso_rankwise, zero_module)
 from pnoise.noise import (INFINITE, ConeNoise, DimensionNoise, DomainNoise,
                           Intersection, VNormNoise, closed_under_sums,
-                          contains, feasible_offsets, in_ray_union,
-                          max_noise_below, max_noise_submodule,
-                          noise_size, offset_certificate, parse_noise_spec)
+                          contains, feasible_offsets, max_noise_below,
+                          max_noise_submodule, noise_size, parse_noise_spec)
 
 from conftest import random_line_module, random_sum_module
 
@@ -133,6 +132,37 @@ def test_direct_sum_rule_for_ray():
         G = random_line_module(rng, box=3, p=2, maxdim=2)
         s = noise_size(RAY1, direct_sum(F, G))
         assert s == max(noise_size(RAY1, F), noise_size(RAY1, G))
+
+
+def kill_table(F, offsets):
+    """(v, x) -> the first of the offsets m with F(v <= v+m)x == 0, or None,
+    for every nonzero element x of every F(v): the element-by-element
+    enumeration that `contains` decides membership by."""
+    out = {}
+    for v in F.points():
+        mats = [(m, grid.evaluate_map(F, v, grid.add(v, m))) for m in offsets]
+        for x in itertools.product(range(F.p), repeat=F.dims[v]):
+            if any(x):
+                out[(v, x)] = next(
+                    (m for m, mat in mats if not any(mat.apply(x))), None)
+    return out
+
+
+def offset_certificate(spec, F, eps):
+    """Per nonzero element, a killing lattice offset of cost <= eps, or
+    None when that element has no witness (cone-shaped specs only)."""
+    maximal, _, _ = noise._kill_offsets(spec, F.alpha, F.box, F.r, Q(eps))
+    return kill_table(F, maximal)
+
+
+def in_ray_union(F, rays, eps):
+    """Does every nonzero element die along *some* single ray shift of norm
+    eps? This set-valued variant is not a noise system (it fails
+    additivity); it shows why cones are required."""
+    eps = Q(eps)
+    offsets = [tuple(int(eps * Q(c) / max(map(Q, g)) / F.alpha) for c in g)
+               for g in rays]
+    return all(m is not None for m in kill_table(F, offsets).values())
 
 
 def test_certificate_kills():

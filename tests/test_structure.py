@@ -11,6 +11,7 @@ from pnoise.grid import (Bar, evaluate_map, make_bar, make_free, make_module,
                          modules_equal, modules_iso_rankwise)
 
 from conftest import random_line_module, random_sum_module
+from module_checks import check_natural, is_closed, is_epi, is_mono
 
 
 def line_module_f3():
@@ -42,7 +43,7 @@ def test_radical_of_free():
     for v in F.points():
         want = 0 if v == (1, 0) else F.dims[v]
         assert rad.dim(v) == want
-    assert st.is_closed(rad)
+    assert is_closed(rad)
 
 
 def test_betti0_line_module():
@@ -68,8 +69,8 @@ def test_minimal_cover_is_epi_and_free():
     for _ in range(8):
         F = random_line_module(rng, box=3, p=3)
         cov = st.minimal_cover(F)
-        st.check_natural(cov)
-        assert st.is_epi(cov)
+        check_natural(cov)
+        assert is_epi(cov)
         assert st.betti0(cov.source) == st.betti0(F)
         # source is free: every edge has full column rank
         for m in cov.source.edges.values():
@@ -80,7 +81,7 @@ def test_minimal_cover_hook():
     cov = st.minimal_cover(hook_module())
     assert cov.source.dims[(1, 1)] == 2
     assert cov.source.dims[(0, 0)] == 0
-    assert st.is_epi(cov)
+    assert is_epi(cov)
 
 
 def test_kernel_image_rank_nullity():
@@ -90,8 +91,8 @@ def test_kernel_image_rank_nullity():
     ker, im = st.kernel(cov), st.image(cov)
     for v in F.points():
         assert ker.dim(v) + im.dim(v) == cov.source.dims[v]
-    assert st.is_closed(ker)
-    assert st.is_closed(im)
+    assert is_closed(ker)
+    assert is_closed(im)
 
 
 def test_cokernel_of_free_inclusion_is_bar():
@@ -103,9 +104,9 @@ def test_cokernel_of_free_inclusion_is_bar():
                 else Mat.zeros(big.dims[v], small.dims[v], 2))
             for v in big.points()}
     incl = st.NatMap(small, big, mats)
-    st.check_natural(incl)
+    check_natural(incl)
     C, proj = st.cokernel(incl)
-    st.check_natural(proj)
+    check_natural(proj)
     assert modules_iso_rankwise(C, make_bar(Bar(w, u), 3, Q(1), 2))
 
 
@@ -115,16 +116,16 @@ def test_cokernel_edges_commute():
         F = random_sum_module(rng, r=2, box=2, summands=3, p=3)
         C, proj = st.cokernel(st.minimal_cover(F))
         grid.validate(C)
-        st.check_natural(proj)
-        assert C.total_dim() == 0 or st.is_epi(proj)
+        check_natural(proj)
+        assert C.total_dim() == 0 or is_epi(proj)
 
 
 def test_submodule_round_trip():
     F = line_module_f3()
     rad = st.radical(F)
     M, incl = st.submodule_to_module(rad)
-    st.check_natural(incl)
-    assert st.is_mono(incl)
+    check_natural(incl)
+    assert is_mono(incl)
     assert st.submodules_equal(st.image(incl), rad)
 
 
@@ -133,7 +134,7 @@ def test_submodule_not_closed_raises():
     basis = st.zero_submodule(F).basis.copy()
     basis[(0,)] = Mat.from_cols([(1, 0, 0)], 3, 3)
     S = st.Submodule(F, basis)
-    assert not st.is_closed(S)
+    assert not is_closed(S)
     with pytest.raises(NotClosed):
         st.submodule_to_module(S)
 
@@ -151,7 +152,7 @@ def test_span_submodule_single_seed():
     # the vector that survives to the end: (1,0,0) at grade 0 maps to (1,1)
     S = st.span_submodule(F, [((0,), (1, 0, 0))])
     assert [S.dim((i,)) for i in range(5)] == [1, 1, 1, 1, 1]
-    assert st.is_closed(S)
+    assert is_closed(S)
 
 
 def test_span_submodule_refuses_malformed_seeds():
@@ -177,20 +178,14 @@ def test_naturality_checked():
     mats = {v: Mat.zeros(F.dims[v], F.dims[v], 2) for v in F.points()}
     mats[(1, 1)] = Mat.identity(1, 2)
     with pytest.raises(NonNatural):
-        st.check_natural(st.NatMap(F, F, mats))
+        check_natural(st.NatMap(F, F, mats))
 
 
-def test_identity_and_compose():
+def test_identity_map_is_natural():
     F = hook_module()
     ident = st.identity_map(F)
-    st.check_natural(ident)
-    assert st.compose(ident, ident).mats == ident.mats
-
-
-def test_submodule_contains():
-    F = line_module_f3()
-    assert st.submodule_contains(st.full_submodule(F), st.radical(F))
-    assert not st.submodule_contains(st.zero_submodule(F), st.radical(F))
+    check_natural(ident)
+    assert is_epi(ident) and is_mono(ident)
 
 
 def test_submodule_rank_matches_module_rank():
