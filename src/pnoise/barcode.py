@@ -1,53 +1,62 @@
 """Interval decomposition of one-parameter modules.
 
-Multiplicities come from inclusion-exclusion over the ranks of the internal
-maps, which is deterministic and never has to choose basis vectors. A bar
-that is still alive at the box face counts as free (the stored data cannot
-distinguish it from one that persists forever, and compact tame modules have
-stabilized there).
+`decompose` is the standard persistence sweep (Zomorodian-Carlsson,
+*Computing persistent homology*, DCG 2005), one pass along the edges. It
+carries a basis of F(u) whose vectors are tagged with their births and kept
+oldest first. At each edge the carried vectors are mapped into F(u+1) and
+reduced left to right over F_p with the field's pivot rule (first nonzero
+entry). A vector that falls into the span of older ones closes its bar at
+u+1; the unit vectors off the surviving pivots complete a basis of F(u+1)
+and are born at u+1. By the elder rule the carried vectors born at or before
+w span im F(w <= u), so the bars are the ones inclusion-exclusion over the
+ranks of the internal maps gives, for one reduction per edge instead of one
+rank per pair w <= u. Which vectors are carried depends on the basis of each
+F(u); the answer does not, because the barcode is unique.
+
+A bar that is still alive at the box face counts as free (the stored data
+cannot distinguish it from one that persists forever, and compact tame
+modules have stabilized there).
 """
 
 from __future__ import annotations
 
-from . import field as fp
+from operator import mul
+
 from .errors import NotOneDimensional
 from .grid import Bar, GridModule, direct_sum, make_bar, zero_module
 
 
-def _rank_table(F: GridModule):
-    """(w, u) -> rank F(w <= u) for w <= u, each F(w <= u) one more edge on
-    the running product from w."""
-    n = F.box
-    rk = {}
-    for w in range(n + 1):
-        rk[(w, w)] = F.dims[(w,)]
-        m = None
-        for u in range(w + 1, n + 1):
-            edge = F.edge((u - 1,), 0)
-            m = edge if m is None else edge @ m
-            rk[(w, u)] = fp.rank(m)
-    return rk
+def _born(u, d, pivots=()):
+    """(u, e_i) for the unit vectors e_i of F_p^d off the given pivots."""
+    return [(u, [int(i == j) for j in range(d)])
+            for i in range(d) if i not in pivots]
 
 
 def decompose(F: GridModule) -> list[Bar]:
     """Interval summands of an r=1 module, with multiplicity, sorted."""
     if F.r != 1:
         raise NotOneDimensional(f"r={F.r}")
-    n = F.box
-    rk = _rank_table(F)
-
-    def r(w, u):
-        return rk[(w, u)] if w >= 0 else 0
-
+    p = F.p
     bars = []
-    for w in range(n + 1):
-        for u in range(w + 1, n + 1):
-            mult = (r(w, u - 1) - r(w, u)) - (r(w - 1, u - 1) - r(w - 1, u))
-            assert mult >= 0
-            bars.extend([Bar((w,), (u,))] * mult)
-        free = r(w, n) - r(w - 1, n)
-        assert free >= 0
-        bars.extend([Bar((w,), None)] * free)
+    carried = _born(0, F.dims[(0,)])  # (birth, vector), oldest first
+    for u in range(F.box):
+        rows = F.edge((u,), 0).data
+        kept, pivots = [], []  # each kept vector is 1 at its pivot
+        for birth, x in carried:
+            y = [sum(map(mul, row, x)) % p for row in rows]
+            for (_, k), c in zip(kept, pivots):
+                a = y[c]
+                if a:
+                    y = [(s - a * t) % p for s, t in zip(y, k)]
+            c = next((i for i, s in enumerate(y) if s), None)
+            if c is None:
+                bars.append(Bar((birth,), (u + 1,)))
+                continue
+            inv = pow(y[c], p - 2, p)
+            kept.append((birth, [s * inv % p for s in y]))
+            pivots.append(c)
+        carried = kept + _born(u + 1, F.dims[(u + 1,)], pivots)
+    bars.extend(Bar((birth,), None) for birth, _ in carried)
     bars.sort(key=lambda b: (b.start, b.end is None, b.end or ()))
     return bars
 

@@ -27,8 +27,8 @@ from . import structure as st
 from .errors import (NotClosedUnderSums, NotOneDimensional,
                      SearchSpaceTooLarge, UnsupportedNoise)
 from .field import Mat
-from .grid import (GridModule, add, clip, evaluate_map, make_bar,
-                   modules_equal, require_same_shape, unit)
+from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
+                   require_same_shape, unit)
 from .noise import INFINITE
 
 EXHAUSTIVE_WORK_CAP = 2 ** 15  # closed submodules the exhaustive walk scores
@@ -173,13 +173,17 @@ def equivalence_budget(spec, phi: st.NatMap) -> EquivalenceBudget:
 def bar_r1(spec, F: GridModule) -> FeatureCountingFunction:
     if F.r != 1:
         raise NotOneDimensional(f"r={F.r}")
-    bars = bc.decompose(F)
-    sizes = [ns.noise_size(spec, make_bar(b, F.box, F.alpha, F.p))
-             for b in bars]
-    if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        for s in sizes:
-            if s != INFINITE and s > 0 and not ns.closed_under_sums(spec, s):
-                raise NotClosedUnderSums(f"level {s}")
+    _check_cone(spec, F)
+    # a bar [s, e) is eps-small exactly when the offset e - s, which its
+    # start needs to die, costs at most eps: r=1 offset costs are finite
+    # (every direction is positive) and grow with the offset. A free bar
+    # never dies.
+    costs = ns._cost_table(spec, F.alpha, F.box, 1)
+    sizes = [INFINITE if b.end is None else costs[(b.end[0] - b.start[0],)]
+             for b in bc.decompose(F)]
+    for s in sizes:
+        if s != INFINITE and s > 0 and not ns.closed_under_sums(spec, s):
+            raise NotClosedUnderSums(f"level {s}")
     finite = sorted({s for s in sizes if s != INFINITE})
     bps = [(Fraction(0), len(sizes), False)]
     for s in finite:

@@ -5,11 +5,11 @@ from fractions import Fraction as Q
 import pytest
 
 from pnoise import field as fp, structure as st
-from pnoise.barcode import _rank_table, bar_lengths, decompose, reconstruct
+from pnoise.barcode import bar_lengths, decompose, reconstruct
 from pnoise.errors import NotOneDimensional
 from pnoise.field import Mat
 from pnoise.grid import (Bar, evaluate_map, make_bar, make_free, make_module,
-                         modules_iso_rankwise)
+                         modules_iso_rankwise, zero_module)
 
 from conftest import random_line_module
 
@@ -96,16 +96,82 @@ def test_total_dim_conserved():
             assert alive == F.dims[v]
 
 
-def _rank_table_by_pairs(F):
-    """rank F(w <= u) from one `evaluate_map` per pair, the table the
-    running products replace."""
-    return {(w, u): fp.rank(evaluate_map(F, (w,), (u,)))
-            for w in range(F.box + 1) for u in range(w, F.box + 1)}
+def decompose_by_ranks(F):
+    """The sweep's oracle: rank F(w <= u) from one `evaluate_map` per pair,
+    then each multiplicity by inclusion-exclusion over the ranks."""
+    n = F.box
+    rk = {(w, u): fp.rank(evaluate_map(F, (w,), (u,)))
+          for w in range(n + 1) for u in range(w, n + 1)}
+
+    def r(w, u):
+        return rk[(w, u)] if w >= 0 else 0
+
+    bars = []
+    for w in range(n + 1):
+        for u in range(w + 1, n + 1):
+            mult = (r(w, u - 1) - r(w, u)) - (r(w - 1, u - 1) - r(w - 1, u))
+            bars.extend([Bar((w,), (u,))] * mult)
+        bars.extend([Bar((w,), None)] * (r(w, n) - r(w - 1, n)))
+    bars.sort(key=lambda b: (b.start, b.end is None, b.end or ()))
+    return bars
 
 
-def test_rank_table_matches_per_pair_maps():
+def change_basis(F, rng):
+    """An isomorphic copy: edge u -> P_{u+1} E_u P_u^-1 for random
+    invertible P_u."""
+    P = {}
+    for v, d in F.dims.items():
+        while True:
+            m = Mat.from_rows([[rng.randrange(F.p) for _ in range(d)]
+                               for _ in range(d)], F.p)
+            if fp.rank(m) == d:
+                P[v] = m
+                break
+    edges = {}
+    for (v, i), e in F.edges.items():
+        inv = fp.solve(P[v], Mat.identity(P[v].rows, F.p))
+        edges[(v, i)] = P[(v[0] + 1,)] @ e @ inv if e.rows and e.cols else e
+    return make_module(1, F.alpha, F.box, F.p, F.dims, edges)
+
+
+def test_sweep_matches_rank_inclusion_exclusion():
     rng = random.Random(13)
-    for _ in range(80):
-        F = random_line_module(rng, box=rng.randrange(6),
-                               p=rng.choice([2, 3]), maxdim=3)
-        assert _rank_table(F) == _rank_table_by_pairs(F), (F.dims, F.p)
+    for _ in range(400):
+        F = random_line_module(rng, box=rng.randrange(9),
+                               p=rng.choice([2, 3, 5, 7]),
+                               maxdim=rng.randrange(1, 5))
+        want = decompose_by_ranks(F)
+        assert decompose(F) == want, (F.dims, F.p)
+        assert decompose(change_basis(F, rng)) == want, (F.dims, F.p)
+
+
+def _chain(dims, identities, p=3):
+    """A line module with the given dims whose edges are identities between
+    equal dims when identities is set, and zero maps otherwise."""
+    box = len(dims) - 1
+    edges = {}
+    for u in range(box):
+        a, b = dims[u], dims[u + 1]
+        edges[((u,), 0)] = Mat.identity(a, p) if identities and a == b \
+            else Mat.zeros(b, a, p)
+    return make_module(1, Q(1), box, p,
+                       {(u,): d for u, d in enumerate(dims)}, edges)
+
+
+def test_sweep_edge_cases():
+    cases = [
+        # box 0: every vector is a free bar
+        (make_module(1, Q(1), 0, 5, {(0,): 3}), [Bar((0,), None)] * 3),
+        (zero_module(1, Q(1), 0, 2), []),
+        # all-zero edges: every vector dies after one step
+        (_chain([2, 1, 2], identities=False),
+         [Bar((0,), (1,))] * 2 + [Bar((1,), (2,))] + [Bar((2,), None)] * 2),
+        # an identity chain: only free bars
+        (_chain([2, 2, 2, 2], identities=True), [Bar((0,), None)] * 2),
+        # zero dims in the middle cut every bar there
+        (_chain([2, 2, 0, 0, 1, 1], identities=True),
+         [Bar((0,), (2,))] * 2 + [Bar((4,), None)]),
+    ]
+    for F, want in cases:
+        assert decompose(F) == want, F.dims
+        assert decompose_by_ranks(F) == want, F.dims

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import fcf as fc
+from pnoise import barcode as bc, fcf as fc
 from pnoise import field as fp, gallery as ga, grid, noise as ns
 from pnoise import structure as st
 from pnoise.errors import (ElementEnumerationTooLarge, IncompatibleShape,
@@ -168,6 +168,44 @@ def test_bar_r1_trivial_cases():
 def test_bar_r1_requires_r1():
     with pytest.raises(NotOneDimensional):
         bar_r1(DIAG2, make_free((0, 0), 1, Q(1), 2))
+
+
+def test_bar_r1_refuses_a_spec_that_is_not_cone_shaped():
+    # three copies of [0, 2): the closed form read 0 at t=2, while the
+    # smallest rank whose quotient is under 2 is 2
+    F = zero_module(1, Q(1), 2, 2)
+    for _ in range(3):
+        F = direct_sum(F, make_bar(Bar((0,), (2,)), 2, Q(1), 2))
+    spec = ns.DimensionNoise(((Q(0), 0), (Q(1), 1)))
+    assert min(rk for rk, basis in fc._enumerate_submodules(F)
+               if _quotient_size(spec, F, st.Submodule(F, basis)) < 2) == 2
+    with pytest.raises(UnsupportedNoise, match="cone-shaped"):
+        bar_r1(spec, F)
+
+
+def _bar_r1_by_bar_modules(spec, F):
+    """The slow path of `bar_r1`: size each bar as its own module."""
+    sizes = [ns.noise_size(spec, make_bar(b, F.box, F.alpha, F.p))
+             for b in bc.decompose(F)]
+    bps = [(Q(0), len(sizes), False)]
+    for s in sorted({s for s in sizes if s != INFINITE}):
+        remaining = sum(1 for x in sizes if x == INFINITE or x > s)
+        if remaining != bps[-1][1]:
+            bps.append((s, remaining, True))
+    return FeatureCountingFunction(tuple(bps))
+
+
+def test_bar_r1_sizes_match_bar_modules():
+    rng = random.Random(21)
+    for _ in range(100):
+        dirs = [(Q(rng.randrange(1, 7), rng.randrange(1, 4)),)
+                for _ in range(rng.randrange(1, 4))]
+        spec = rng.choice([ConeNoise, ns.VNormNoise])(dirs)
+        alpha = Q(rng.randrange(1, 6), rng.randrange(1, 4))
+        F = random_line_module(rng, box=rng.randrange(1, 8),
+                               p=rng.choice([2, 3]), maxdim=3, alpha=alpha)
+        assert bar_r1(spec, F) == _bar_r1_by_bar_modules(spec, F), \
+            (spec, alpha, F.dims)
 
 
 def test_bar_zero_check_cases():
