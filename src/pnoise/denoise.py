@@ -16,7 +16,6 @@ from . import noise as ns
 from . import structure as st
 from .errors import SearchSpaceTooLarge, UnsupportedNoise
 from .grid import GridModule, add, unit
-from .noise import INFINITE
 
 
 class Denoising:
@@ -72,11 +71,11 @@ def _seeds_of(S: st.Submodule):
     return [(v, incl.mats[v].apply(x)) for v, x in st.minimal_generators(M)]
 
 
-def _shrink(spec, F: GridModule, S: st.Submodule, t, rank):
+def _shrink(scorer: ns.QuotientScorer, S: st.Submodule, t, rank):
     """Greedy inclusion-minimization: drop redundant generators, then push
     surviving generators forward along axes while the span stays valid."""
+    F = scorer.F
     seeds = _seeds_of(S)
-    scorer = ns.QuotientScorer(spec, F)
     changed = True
     while changed:
         changed = False
@@ -115,11 +114,12 @@ def subfunctor_denoise(spec, F: GridModule, t, engine="exhaustive") \
         -> Denoising:
     t = Fraction(t)
     rank, S, exact = fc.minimal_rank_submodule(spec, F, t, engine)
+    scorer = ns.QuotientScorer(spec, F)
     if rank > 0:
-        S = _shrink(spec, F, S, t, rank)
-    M, incl = st.submodule_to_module(S)
-    budget = fc.equivalence_budget(spec, incl).total()
-    certified = exact and budget != INFINITE and budget < t
+        S = _shrink(scorer, S, t, rank)
+    M, _ = st.submodule_to_module(S)
+    # the inclusion's kernel is 0: its budget is the size of F/S
+    certified = exact and ns.quotient_size(scorer, S) < t
     return Denoising(t, M, "subfunctor", certified, st.submodule_rank(S))
 
 

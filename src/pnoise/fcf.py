@@ -11,7 +11,8 @@ bound). Every search, here and in denoising, builds one
 the kill rule (every x in F(v) is carried into S(v+m) by a quiet offset m)
 without building F/S. The exhaustive walk counts rank(S) as it descends;
 the other searches take it from `structure.submodule_rank`. The
-one-parameter case has a closed form through the barcode.
+one-parameter case has a closed form through the barcode. Budgets of maps
+size ker phi as K/0 in the source and coker phi as target/im phi.
 """
 
 from __future__ import annotations
@@ -160,11 +161,23 @@ class EquivalenceBudget:
         return self.tau + self.mu
 
 
+def _budget(spec, phi: st.NatMap, scorers=()) -> EquivalenceBudget:
+    """phi's budget from the (source, target) scorers of a cone-shaped spec,
+    built here if not given; other kinds build ker phi and coker phi."""
+    if not isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
+        ker_mod, _ = st.submodule_to_module(st.kernel(phi))
+        coker_mod, _ = st.cokernel(phi)
+        return EquivalenceBudget(ns.noise_size(spec, ker_mod),
+                                 ns.noise_size(spec, coker_mod))
+    src, dst = scorers or (ns.QuotientScorer(spec, phi.source),
+                           ns.QuotientScorer(spec, phi.target))
+    return EquivalenceBudget(
+        ns.quotient_size(src, st.zero_submodule(phi.source), st.kernel(phi)),
+        ns.quotient_size(dst, st.image(phi)))
+
+
 def equivalence_budget(spec, phi: st.NatMap) -> EquivalenceBudget:
-    ker_mod, _ = st.submodule_to_module(st.kernel(phi))
-    coker_mod, _ = st.cokernel(phi)
-    return EquivalenceBudget(ns.noise_size(spec, ker_mod),
-                             ns.noise_size(spec, coker_mod))
+    return _budget(spec, phi)
 
 
 # -- bar through the barcode (one parameter) -------------------------------
@@ -367,10 +380,10 @@ def _orbit_pool(spec, F: GridModule, t):
 def _orbit_value(spec, F: GridModule, t):
     """Upper bound on bar(F)_t by growing spans of pool elements."""
     full_rank = st.rank(F)
-    if ns.noise_size(spec, F) < t:
+    scorer = ns.QuotientScorer(spec, F)
+    if ns.quotient_size(scorer, st.zero_submodule(F)) < t:
         return 0, None
     pool = _orbit_pool(spec, F, t)
-    scorer = ns.QuotientScorer(spec, F)
     budget = ORBIT_COMBO_CAP
     for k in range(1, full_rank):
         tried = 0
@@ -536,17 +549,21 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
     equivalence budget among the natural maps F->G and G->F that
     `_combinations` tries of a basis of each Hom space. Returns (bound,
     witness NatMap or None)."""
+    require_same_shape(F, G)
     if modules_equal(F, G):
         return Fraction(0), st.identity_map(F)
     best, wit = INFINITE, None
-    for (src, dst) in ((F, G), (G, F)):
+    fg = ()   # one scorer per module, read by every map's budget
+    if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
+        fg = (ns.QuotientScorer(spec, F), ns.QuotientScorer(spec, G))
+    for src, dst, scorers in ((F, G, fg), (G, F, fg[::-1])):
         pts = list(src.points())
         basis = [_flat([phi.mats[v] for v in pts])
                  for phi in natural_map_space(src, dst)]
         length = sum(dst.dims[v] * src.dims[v] for v in pts)
         for vec in _combinations(basis, length, src.p):
             phi = _nat_map(src, dst, vec)
-            b = equivalence_budget(spec, phi).total()
+            b = _budget(spec, phi, scorers).total()
             if b < best:
                 best, wit = b, phi
     return best, wit

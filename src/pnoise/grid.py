@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 from . import field as fp
@@ -133,9 +132,7 @@ def unit(i, r):
 
 
 def validate(F: GridModule):
-    """Check matrix shapes and all commutativity squares; warn when the last
-    recorded step along an axis is still changing a nonzero space (a likely
-    sign the printed diagram was truncated before it stabilized)."""
+    """Check matrix shapes and all commutativity squares."""
     for (v, i), m in F.edges.items():
         w = add(v, unit(i, F.r))
         if (m.rows, m.cols) != (F.dims[w], F.dims[v]) or m.p != F.p:
@@ -150,17 +147,6 @@ def validate(F: GridModule):
                 b = F.edge(vj, i) @ F.edge(v, j)
                 if a.data != b.data:
                     raise NonCommutingSquare(v, i, j)
-    for v in F.points():
-        for i in range(F.r):
-            if v[i] != F.box or F.box == 0:
-                continue
-            prev = tuple(c - 1 if k == i else c for k, c in enumerate(v))
-            m = F.edge(prev, i)
-            if F.dims[v] > 0 and m.rows == m.cols and fp.rank(m) != m.rows:
-                warnings.warn(
-                    f"module may not be stabilized at {v} along axis {i}: "
-                    "last edge into the box face is not an isomorphism",
-                    stacklevel=2)
     return True
 
 

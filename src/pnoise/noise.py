@@ -11,16 +11,14 @@ Fourier-Motzkin elimination over the rationals, so the answers are exact.
 Cone and vnorm specs share one witness system, w = sum a_j d_j with a >= 0
 dominating a target; they differ only in the linear forms whose maximum is
 the witness's norm (w_i for cones, a_j for vnorm). Offset costs, feasible
-offsets and the closure-under-sums test all start from it. Membership
-looks for a killing offset of each nonzero element.
+offsets and the closure-under-sums test all start from it.
 
-`quotient_size` applies the same kill rule to a quotient F/S without
-building it: x in F(v) dies in F/S along m when F(v <= v+m)x lies in
-S(v+m). A submodule search builds one `QuotientScorer` per (spec, F), which
-holds the levels, each level's kill offsets, the maps F(v <= w) and the
-verdicts of the point tests already run, and sizes every candidate S with
-it; a verdict is reused for every S whose bases agree where the test reads
-them.
+Their one kill test is `_point_test`: x in F(v) dies in F/S along m when
+F(v <= v+m)x lies in S(v+m). Membership runs it on F/0; `quotient_size`
+walks it up the levels to size F/S, F, or a closed K/0 (the kernel of a
+map out of F), building no module. One `QuotientScorer` per (spec, F)
+holds the levels, their kill offsets, the maps F(v <= w) and the verdicts
+found, each reused for every S (and K) agreeing where the test reads.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .errors import (ElementEnumerationTooLarge, NotClosedUnderSums,
                      ParseError, UnsupportedNoise)
 from .field import Mat
 from .grid import GridModule, add, box_points, clip, evaluate_map, leq
-from .structure import Submodule
+from .structure import Submodule, zero_submodule
 
 INFINITE = float("inf")
 
@@ -365,32 +363,18 @@ def _elements(dim, p):
     return itertools.product(range(p), repeat=dim)
 
 
-def _cone_contains(spec, F: GridModule, eps):
-    """Is every nonzero element of every F(v) killed, F(v <= v+m)x == 0, by
-    some offset m of cost <= eps? With a quiet corner that is one map per
-    point; otherwise each element is tried against the maximal offsets."""
-    maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
-                                               eps)
-    if corner_ok:
-        return all(evaluate_map(F, v, add(v, corner)).is_zero()
-                   for v in F.points() if F.dims[v])
-    for v in F.points():
-        if F.dims[v] == 0:
-            continue
-        mats = [evaluate_map(F, v, add(v, m)) for m in maximal]
-        if not all(any(not any(mat.apply(x)) for mat in mats)
-                   for x in _elements(F.dims[v], F.p) if any(x)):
-            return False
-    return True
-
-
 def contains(spec, F: GridModule, eps) -> bool:
     """Is F within noise level eps?"""
     eps = Fraction(eps)
     if eps < 0:
         return False
     if isinstance(spec, (ConeNoise, VNormNoise)):
-        return _cone_contains(spec, F, eps)
+        maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
+                                                   eps)
+        offsets, zero = (corner,) if corner_ok else maximal, zero_submodule(F)
+        return all(_point_test(F, zero, v, corner_ok,
+                               [_path(F, v, m) for m in offsets])
+                   for v in F.points() if F.dims[v])
     if isinstance(spec, DomainNoise):
         boxes = spec.region(eps)
         return all(_cell_covered(*_cell(F, v), boxes)
@@ -407,6 +391,8 @@ def noise_size(spec, F: GridModule):
     """Smallest eps with contains(spec, F, eps), or INFINITE."""
     if F.total_dim() == 0:
         return Fraction(0)
+    if isinstance(spec, (ConeNoise, VNormNoise)):
+        return quotient_size(QuotientScorer(spec, F), zero_submodule(F))
     # membership is monotone in eps and changes only at a candidate; an
     # intersection's candidates are its parts', so the first one where all
     # parts hold is the largest part size
@@ -436,37 +422,45 @@ class QuotientScorer:
         self._verdicts = {}
 
     def path(self, v, m):
-        """(w, F(v <= w)) for w = v+m clipped to the box."""
         hit = self._paths.get((v, m))
         if hit is None:
-            w = clip(add(v, m), self.F.box)
-            hit = self._paths[(v, m)] = (w, evaluate_map(self.F, v, w))
+            hit = self._paths[(v, m)] = _path(self.F, v, m)
         return hit
 
 
-def _point_within(scorer: QuotientScorer, S: Submodule, v, k):
-    """Is the point v of F/S within level levels[k]? The test reads S(w)
-    at a level with a quiet corner w, and S(v) and each S(w_m) at a level
-    without one; its verdict is memoised in the scorer on those bases."""
+def _path(F: GridModule, v, m):
+    """(w, F(v <= w)) for w = v+m clipped to the box."""
+    w = clip(add(v, m), F.box)
+    return w, evaluate_map(F, v, w)
+
+
+def _point_within(scorer: QuotientScorer, S: Submodule, v, k, K=None):
+    """Is the point v of F/S (of K/0, given K) within level levels[k]? The
+    test reads S(w) at a quiet corner w, else S(v) and each S(w_m), and K(v)
+    if given; its verdict is memoised in the scorer on those bases."""
     maximal, corner, corner_ok = scorer.kills[k]
     paths = [scorer.path(v, m) for m in ((corner,) if corner_ok else maximal)]
     reads = ([] if corner_ok else [v]) + [w for w, _ in paths]
     key = (v, k, tuple(S.basis[u].data for u in reads))
+    if K is not None:
+        key += (K.basis[v].data,)
     hit = scorer._verdicts.get(key)
     if hit is None:
+        if K is not None:   # the elements of K/0 at v are K(v)'s coordinates
+            paths = [(w, A @ K.basis[v]) for w, A in paths]
         hit = scorer._verdicts[key] = _point_test(scorer.F, S, v, corner_ok,
                                                  paths)
     return hit
 
 
 def _point_test(F: GridModule, S: Submodule, v, corner_ok, paths):
-    """The kill test of the point v of F/S along the given paths: the one
-    quiet corner's, or each maximal offset's."""
+    """The kill test of the point v of F/S along the given paths, the quiet
+    corner's or each maximal offset's, on the coordinates of their columns."""
     if corner_ok:
         (w, A), = paths
         return fp.span_contains(S.basis[w], A)
-    pivots = fp.pivot_rows(S.basis[v])
-    free = [i for i in range(F.dims[v]) if i not in pivots]
+    pivots = fp.pivot_rows(S.basis[v])   # F-coordinates: none when S = 0
+    free = [i for i in range(paths[0][1].cols) if i not in pivots]
     classes = _elements(len(free), F.p)
     residues = []
     for w, A in paths:
@@ -477,24 +471,27 @@ def _point_test(F: GridModule, S: Submodule, v, corner_ok, paths):
                for x in classes if any(x))
 
 
-def quotient_size(scorer: QuotientScorer, S: Submodule):
+def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     """noise_size(spec, F/S) for a closed submodule S of the scorer's F,
-    read off S's canonical bases with no quotient built.
+    read off S's canonical bases with no quotient built; given a closed K
+    in F and S = 0, noise_size(spec, K), which sizes a kernel.
 
     A point v of F/S lies within level eps when every x in F(v) is carried
     into S(w), w = v+m clipped, by an offset m of cost at most eps. Where
     those offsets have a quiet corner that is one test, F(v <= w) lands in
     S(w); otherwise the kill test runs on one representative per nonzero
     class of F(v)/S(v), the vectors supported on the non-pivot rows of
-    S(v)'s basis, so ELEMENT_CAP sees the dimension of the quotient. The
-    test is monotone in eps, so the size is found by one ascending walk of
-    the levels across the points."""
+    S(v)'s basis, so ELEMENT_CAP sees the dimension of the quotient (or of
+    K(v)). The test is monotone in eps, so the size is found by one
+    ascending walk of the levels across the points."""
     F, levels = scorer.F, scorer.levels
+    if K is not None and any(S.basis[v].cols for v in F.points()):
+        raise ValueError("a submodule K is sized only over S = 0")
     k = 0
     for v in F.points():
         if S.basis[v].cols == F.dims[v]:
             continue
-        while not _point_within(scorer, S, v, k):
+        while not _point_within(scorer, S, v, k, K):
             k += 1
             if k == len(levels):
                 return INFINITE
@@ -645,7 +642,6 @@ def max_noise_below(spec, F: GridModule, t) -> Submodule:
     t = Fraction(t)
     below = [c for c in noise_candidates(spec, F) if c < t]
     if not below:
-        from .structure import zero_submodule
         return zero_submodule(F)
     return max_noise_submodule(spec, F, max(below))
 

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from fractions import Fraction as Q
 
 import pytest
@@ -197,6 +198,25 @@ def test_build_h0_and_pipeline(tmp_path, capsys):
     assert main(["validate", str(out)]) == 0
     assert main(["info", str(out)]) == 0
     assert "p 2" in capsys.readouterr().out
+
+
+def test_build_h0_output_reads_without_warnings(tmp_path, capsys):
+    # the last density step changes H0 at (0, 1): a stored module is
+    # constant beyond its box, so that is no sign of a truncated diagram
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0,0\n2,0,0\n1,0,1\n10,0,1\n")
+    out = tmp_path / "h0.mod"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["build-h0", str(pts), "--scale-grid", "2,100",
+                     "--density-grid", "0,1", "-o", str(out)]) == 0
+        assert main(["info", str(out)]) == 0
+        assert main(["fcf", str(out), "--noise", "cone:1,1",
+                     "--t", "1"]) == 0
+        for mode in ("quotient", "subfunctor"):
+            assert main(["denoise", str(out), "--noise", "cone:1,1",
+                         "--t", "1", "--mode", mode]) == 0
+    assert "rank 3" in capsys.readouterr().out
 
 
 def test_build_h0_empty_grid(tmp_path, capsys):

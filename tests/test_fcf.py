@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import barcode as bc, fcf as fc
+from pnoise import barcode as bc, denoise as dn, fcf as fc
 from pnoise import field as fp, gallery as ga, grid, noise as ns
 from pnoise import structure as st
 from pnoise.errors import (ElementEnumerationTooLarge, IncompatibleShape,
@@ -144,6 +144,165 @@ def test_budget_of_free_inclusion():
     check_natural(incl)
     b = equivalence_budget(RAY1, incl)
     assert (b.tau, b.mu) == (0, 2)
+
+
+def _budget_by_modules(spec, phi):
+    """The slow path the scorers replace: build ker phi and coker phi as
+    modules and size each one."""
+    ker_mod, _ = st.submodule_to_module(st.kernel(phi))
+    coker_mod, _ = st.cokernel(phi)
+    return EquivalenceBudget(ns.noise_size(spec, ker_mod),
+                             ns.noise_size(spec, coker_mod))
+
+
+def _maps(src, dst):
+    """The maps src -> dst that `closeness_upper_bound` tries."""
+    pts = list(src.points())
+    basis = [fc._flat([phi.mats[v] for v in pts])
+             for phi in natural_map_space(src, dst)]
+    length = sum(dst.dims[v] * src.dims[v] for v in pts)
+    return [fc._nat_map(src, dst, vec)
+            for vec in fc._combinations(basis, length, src.p)]
+
+
+def _check_budgets(spec, pairs, most=40):
+    """For each pair (F, G), one pair of scorers sizes the maps F -> G and
+    G -> F (a seeded sample of `most` when there are more) as the module
+    path does, an element-cap refusal counting as an answer; returns the
+    budgets."""
+    rng = random.Random(43)
+    seen = []
+    for F, G in pairs:
+        for src, dst in ((F, G), (G, F)):
+            scorers = (ns.QuotientScorer(spec, src),
+                       ns.QuotientScorer(spec, dst))
+            maps = _maps(src, dst)
+            if len(maps) > most:
+                maps = rng.sample(maps, most)
+            for phi in maps:
+                want = _size_or_refusal(_budget_by_modules, spec, phi)
+                assert _size_or_refusal(fc._budget, spec, phi, scorers) == \
+                    want, (spec, src.dims, dst.dims, phi.mats)
+                seen.append(want)
+    return seen
+
+
+def _kernels_and_cokernels_vary(budgets):
+    sizes = {(b.tau, b.mu) for b in budgets}
+    taus, mus = {t for t, _ in sizes}, {m for _, m in sizes}
+    return 0 in taus and INFINITE in taus and len(taus) > 2 \
+        and 0 in mus and len(mus) > 2
+
+
+def test_budgets_match_module_path_r1():
+    rng = random.Random(41)
+    for p in (2, 3):
+        pairs = []
+        for _ in range(12):
+            F = random_line_module(rng, box=3, p=p, maxdim=2, total_cap=4)
+            bar = make_bar(random_bar(rng, 1, 3), 3, Q(1), p)
+            G = random_line_module(rng, box=3, p=p, maxdim=2, total_cap=4)
+            pairs += [(F, F), (F, direct_sum(F, bar)), (F, G)]
+        for spec in (RAY1, ns.VNormNoise(((Q(1, 2),),))):
+            assert _kernels_and_cokernels_vary(_check_budgets(spec, pairs))
+
+
+def test_budgets_match_module_path_r2_r3():
+    rng = random.Random(42)
+    pairs = []
+    for _ in range(5):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        G = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        pairs += [(F, F), (F, G)]
+    for spec in (DIAG2, ConeNoise(((1, 2), (2, 1))),
+                 ns.VNormNoise(((1, 0), (0, 1)))):
+        assert _kernels_and_cokernels_vary(_check_budgets(spec, pairs))
+    # level 1 has no quiet corner: the kill test runs on the elements of
+    # K(v) and on the classes of G(v)/im phi(v). Bars from 0 that end at
+    # e_2 and at e_3 die at level 1, each along one maximal offset, but
+    # their sum dies only at level 2.
+    ends = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 2, 2))
+    sums = [direct_sum(*(make_bar(Bar((0, 0, 0), e), 1, Q(1), 2, 3)
+                         for e in ends[1:3]))]
+    for _ in range(6):
+        F = zero_module(3, Q(1), 1, 2)
+        for _ in range(rng.randrange(1, 4)):
+            F = direct_sum(F, make_bar(Bar((0, 0, 0), rng.choice(ends)),
+                                       1, Q(1), 2, 3))
+        sums.append(F)
+    pairs = [(F, G) for F, G in zip(sums, sums[1:] + sums[:1])]
+    pairs += [(F, F) for F in sums]
+    budgets = _check_budgets(NO_CORNER3, pairs)
+    assert {b.tau for b in budgets} >= {0, 1, 2, INFINITE}
+    assert {b.mu for b in budgets} >= {0, 1, 2, INFINITE}
+
+
+def _projection_and_inclusion():
+    """The projection [0,2) + [0,inf) -> [0,inf), whose kernel is the bar
+    [0,2), and the inclusion [2,inf) -> [0,inf), whose cokernel is it."""
+    bar = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
+    free = make_free((0,), 4, Q(1), 2)
+    proj = st.NatMap(direct_sum(bar, free), free, {
+        v: Mat.from_rows([[0, 1]] if v < (2,) else [[1]], 2)
+        for v in free.points()})
+    small = make_free((2,), 4, Q(1), 2)
+    incl = st.NatMap(small, free, {
+        v: Mat.identity(1, 2) if v >= (2,) else Mat.zeros(1, 0, 2)
+        for v in free.points()})
+    return proj, incl
+
+
+def test_budgets_of_specs_without_a_scorer():
+    # the bar [0,2) has dimension 1, lies in [0,2), and dies after 2 along
+    # the ray; those kinds keep the module path
+    proj, incl = _projection_and_inclusion()
+    check_natural(proj)
+    check_natural(incl)
+    dim = ns.DimensionNoise(((Q(0), 0), (Q(1), 1)))
+    domain = ns.DomainNoise(((Q(1), (((Q(0),), (Q(2),)),)),
+                             (Q(3), (((Q(0),), (None,)),))))
+    for spec, size in ((dim, 1), (domain, 1),
+                       (ns.Intersection((RAY1, dim)), 2),
+                       (ns.Intersection((dim, domain)), 1)):
+        assert equivalence_budget(spec, proj) == EquivalenceBudget(size, 0)
+        assert equivalence_budget(spec, incl) == EquivalenceBudget(0, size)
+    assert equivalence_budget(RAY1, proj) == EquivalenceBudget(2, 0)
+    assert equivalence_budget(RAY1, incl) == EquivalenceBudget(0, 2)
+
+
+def test_submodule_is_sized_only_over_zero():
+    proj, _ = _projection_and_inclusion()
+    F, K = proj.source, st.kernel(proj)
+    scorer = ns.QuotientScorer(RAY1, F)
+    assert ns.quotient_size(scorer, st.zero_submodule(F), K) == 2
+    with pytest.raises(ValueError, match="S = 0"):
+        ns.quotient_size(scorer, K, K)
+
+
+def test_budgets_build_no_module(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a module was built or sized to score a map")
+
+    rng = random.Random(88)     # the pairs of criterion 8
+    pairs = []
+    for _ in range(12):
+        F = random_line_module(rng, box=3, p=2, maxdim=2, total_cap=5)
+        start = rng.randrange(3)
+        B = make_bar(Bar((start,), (start + rng.randrange(1, 3),)),
+                     3, Q(1), 2)
+        pairs.append((F, direct_sum(F, B)))
+    want = [_closeness_by_map_sums(RAY1, F, G)[0] for F, G in pairs]
+    stairs = [(F, engine) for F in (ga.staircase_module(),
+                                    ga.wide_staircase_module())
+              for engine in ("exhaustive", "orbit")]
+    denoised = [dn.subfunctor_denoise(DIAG2, F, Q(2), engine)
+                for F, engine in stairs]
+    monkeypatch.setattr(st, "cokernel", refuse)
+    monkeypatch.setattr(ns, "noise_size", refuse)
+    assert [closeness_upper_bound(RAY1, F, G)[0] for F, G in pairs] == want
+    assert [dn.subfunctor_denoise(DIAG2, F, Q(2), engine)
+            for F, engine in stairs] == denoised
+    assert all(d.rank == 2 for d in denoised)
 
 
 # -- bar through the barcode -----------------------------------------------
@@ -630,7 +789,7 @@ def _closeness_by_map_sums(spec, F, G):
     for src, dst in ((F, G), (G, F)):
         basis = natural_map_space(src, dst)
         for phi in _combinations_of_maps(basis, src, dst):
-            b = equivalence_budget(spec, phi).total()
+            b = _budget_by_modules(spec, phi).total()
             if b < best:
                 best, wit = b, phi
     return best, wit

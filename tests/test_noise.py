@@ -181,13 +181,30 @@ def test_certificate_kills():
 
 def test_fast_path_matches_enumeration():
     rng = random.Random(15)
-    for _ in range(10):
-        F = random_sum_module(rng, r=2, box=2, summands=3, p=2)
-        for eps in (Q(0), Q(1), Q(2)):
-            fast = contains(DIAG2, F, eps)
-            cert = offset_certificate(DIAG2, F, eps)
-            slow = all(m is not None for m in cert.values())
-            assert fast == slow
+    cases = [(DIAG2, random_sum_module(rng, r=2, box=2, summands=3, p=2))
+             for _ in range(10)]
+    # r=3 levels without a quiet corner enumerate F(v) in the kill test
+    no_corner3 = ConeNoise(((1, 1, 0), (1, 0, 1)))
+    assert not noise._kill_offsets(no_corner3, Q(1), 1, 3, Q(1))[2]
+    rng = random.Random(16)
+    cases += [(spec, random_line_module(rng, box=3, p=p, maxdim=2))
+              for p in (2, 3) for _ in range(6)
+              for spec in (RAY1, VNormNoise(((Q(1, 2),),)))]
+    cases += [(VNormNoise(((1, 0), (0, 1))),
+               random_sum_module(rng, r=2, box=2, summands=3, p=2))
+              for _ in range(4)]
+    cases += [(no_corner3, random_sum_module(rng, r=3, box=1, summands=3,
+                                             p=2)) for _ in range(6)]
+    sizes = set()
+    for spec, F in cases:
+        levels = noise.noise_candidates(spec, F)
+        slow = [all(m is not None for m in offset_certificate(
+            spec, F, eps).values()) for eps in levels]
+        assert [contains(spec, F, eps) for eps in levels] == slow, spec
+        size = next((eps for eps, ok in zip(levels, slow) if ok), INFINITE)
+        assert noise_size(spec, F) == size, (spec, F.dims)
+        sizes.add(size)
+    assert len(sizes) > 2 and INFINITE in sizes
 
 
 # -- the union-of-axes story ----------------------------------------------
