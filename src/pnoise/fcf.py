@@ -7,12 +7,15 @@ all closed submodules (exact, capped by their number), and a
 generator-orbit search over spans of shifted minimal generators (upper
 bound). Every search, here and in denoising, builds one
 `noise.QuotientScorer` per (spec, F) and sizes each candidate S with
-`noise.quotient_size`, which reads the noise size of F/S off S's bases by
-the kill rule (every x in F(v) is carried into S(v+m) by a quiet offset m)
-without building F/S. The exhaustive walk counts rank(S) as it descends;
-the other searches take it from `structure.submodule_rank`. The
+`noise.quotient_size`, which reads the noise size of F/S off S's bases
+without building F/S: when every level has a quiet corner, as the largest
+first passing level over the points w, each memoised on S(w); otherwise by
+walking the levels with the kill rule (every x in F(v) is carried into
+S(v+m) by a quiet offset m). The exhaustive walk counts rank(S) as it
+descends; the other searches take it from `structure.submodule_rank`. The
 one-parameter case has a closed form through the barcode. Budgets of maps
-size ker phi as K/0 in the source and coker phi as target/im phi.
+size ker phi as K/0 in the source (always by the level walk) and coker
+phi as target/im phi.
 """
 
 from __future__ import annotations
@@ -161,19 +164,36 @@ class EquivalenceBudget:
         return self.tau + self.mu
 
 
-def _budget(spec, phi: st.NatMap, scorers=()) -> EquivalenceBudget:
+def _kernel_and_image(phi: st.NatMap, memo):
+    """ker phi and im phi as submodules; each point's pair of reduced bases
+    is a pure function of (v, phi_v), so it is looked up in memo under
+    (v, phi_v.data) and computed only on a miss."""
+    ker, im = {}, {}
+    for v, A in phi.mats.items():
+        hit = memo.get((v, A.data))
+        if hit is None:
+            hit = memo[(v, A.data)] = (fp.column_reduce(fp.kernel_basis(A)),
+                                       fp.column_reduce(A))
+        ker[v], im[v] = hit
+    return st.Submodule(phi.source, ker), st.Submodule(phi.target, im)
+
+
+def _budget(spec, phi: st.NatMap, scorers=(), memo=None) -> EquivalenceBudget:
     """phi's budget from the (source, target) scorers of a cone-shaped spec,
-    built here if not given; other kinds build ker phi and coker phi."""
+    built here if not given; other kinds build ker phi and coker phi. memo
+    holds reduced kernel and image bases for maps of one source and target
+    (`_kernel_and_image`)."""
+    ker, im = _kernel_and_image(phi, {} if memo is None else memo)
     if not isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        ker_mod, _ = st.submodule_to_module(st.kernel(phi))
+        ker_mod, _ = st.submodule_to_module(ker)
         coker_mod, _ = st.cokernel(phi)
         return EquivalenceBudget(ns.noise_size(spec, ker_mod),
                                  ns.noise_size(spec, coker_mod))
     src, dst = scorers or (ns.QuotientScorer(spec, phi.source),
                            ns.QuotientScorer(spec, phi.target))
     return EquivalenceBudget(
-        ns.quotient_size(src, st.zero_submodule(phi.source), st.kernel(phi)),
-        ns.quotient_size(dst, st.image(phi)))
+        ns.quotient_size(src, st.zero_submodule(phi.source), ker),
+        ns.quotient_size(dst, im))
 
 
 def equivalence_budget(spec, phi: st.NatMap) -> EquivalenceBudget:
@@ -447,13 +467,17 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
     t_values = sorted({Fraction(t) for t in t_values})
     full_rank = st.rank(F)
     if engine == "exhaustive":
-        pairs = [(rk, sg) for rk, sg, _ in _scored_submodules(spec, F)
-                 if sg != INFINITE]
-        cands = sorted({sigma for _, sigma in pairs})
+        # the smallest rank at each size; S = F has size 0 and full rank,
+        # so a running minimum over the sorted finite sizes is bar(F)
+        least = {}
+        for rk, sg, _ in _scored_submodules(spec, F):
+            if rk < least.get(sg, rk + 1):
+                least[sg] = rk
+        least.pop(INFINITE, None)
         bps = [(Fraction(0), full_rank, False)]
-        for c in cands:
-            best = min((rk for rk, sg in pairs if sg <= c),
-                       default=full_rank)
+        best = full_rank
+        for c in sorted(least):
+            best = min(best, least[c])
             if best != bps[-1][1]:
                 bps.append((c, best, True))
         fcf = FeatureCountingFunction(tuple(bps))
@@ -561,9 +585,10 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
         basis = [_flat([phi.mats[v] for v in pts])
                  for phi in natural_map_space(src, dst)]
         length = sum(dst.dims[v] * src.dims[v] for v in pts)
+        memo = {}   # few distinct point matrices recur across the maps
         for vec in _combinations(basis, length, src.p):
             phi = _nat_map(src, dst, vec)
-            b = _budget(spec, phi, scorers).total()
+            b = _budget(spec, phi, scorers, memo).total()
             if b < best:
                 best, wit = b, phi
     return best, wit

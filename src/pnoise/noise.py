@@ -15,10 +15,21 @@ offsets and the closure-under-sums test all start from it.
 
 Their one kill test is `_point_test`: x in F(v) dies in F/S along m when
 F(v <= v+m)x lies in S(v+m). Membership runs it on F/0; `quotient_size`
-walks it up the levels to size F/S, F, or a closed K/0 (the kernel of a
-map out of F), building no module. One `QuotientScorer` per (spec, F)
-holds the levels, their kill offsets, the maps F(v <= w) and the verdicts
-found, each reused for every S (and K) agreeing where the test reads.
+sizes F/S, F, or a closed K/0 (the kernel of a map out of F), building no
+module. One `QuotientScorer` per (spec, F) holds the levels, their kill
+offsets, the maps F(v <= w) and the verdicts found, each reused for every
+S (and K) agreeing where the test reads.
+
+When every level k has a quiet corner c_k (all of r=1, and e.g. cone:1,1),
+F/S is within level k iff at every point w, colspan F(v* <= w) lies in
+S(w), for v* = v*_k(w) the largest point whose corner shift clips to w:
+v*_i = w_i - c_k,i off the box face, v*_i = w_i on it, and no point lands
+on w (the test passes) when some v*_i < 0. Proof: every v landing on w is
+<= v*, so F(v <= w) factors through F(v* <= w); the corners are nested, so
+the test at w is monotone in k; S is closed, so points with S(v) = F(v)
+pass anyway. Sizing F/S is then one memoised first passing level per
+(w, S(w)). Specs with a level that has no quiet corner, and K/0 kernel
+sizing, keep the ascending walk of the levels across the points.
 """
 
 from __future__ import annotations
@@ -405,26 +416,79 @@ def noise_size(spec, F: GridModule):
 class QuotientScorer:
     """What `quotient_size` needs of one cone-shaped spec and one module F,
     computed once per search: the levels where membership can change, the
-    kill data (`_kill_offsets`) of each level, a lazily filled table of
-    the maps F(v <= w), and the verdicts of the point tests already run.
+    kill data (`_kill_offsets`) of each level, and lazily filled tables of
+    the maps F(v <= w) and of the answers already found.
 
-    A point test's verdict is a pure function of v, the level and the
-    bases of S it reads, and every `Submodule` basis is canonical, so a
-    verdict is stored under (v, k, the data of those bases) and reused
-    for every later S that agrees with it there."""
+    When every level k has a quiet corner c_k, `corners` lists them and
+    F/S is sized point by point: F/S is within level k iff colspan
+    F(v* <= w) lies in S(w) at every w, v* = v*_k(w) the largest point
+    whose corner shift clips to w (see the module docstring for the proof).
+    The first passing level at w reads nothing of S but S(w), and every
+    `Submodule` basis is canonical, so it is stored under (w, S(w).data).
+    Otherwise `corners` is None and a point test's verdict, a pure function
+    of v, the level and the bases of S it reads, is stored under (v, k, the
+    data of those bases); kernels K are always sized that way."""
 
     def __init__(self, spec, F: GridModule):
         self.spec, self.F = spec, F
         self.levels = noise_candidates(spec, F)
         self.kills = [_kill_offsets(spec, F.alpha, F.box, F.r, eps)
                       for eps in self.levels]
+        self.corners = ([corner for _, corner, _ in self.kills]
+                        if all(ok for _, _, ok in self.kills) else None)
+        self.points = [w for w in F.points() if F.dims[w]]
+        self._maps = {}
         self._paths = {}
+        self._sources = {}
+        self._first = {}
         self._verdicts = {}
+
+    def map(self, v, w):
+        hit = self._maps.get((v, w))
+        if hit is None:
+            hit = self._maps[(v, w)] = evaluate_map(self.F, v, w)
+        return hit
 
     def path(self, v, m):
         hit = self._paths.get((v, m))
         if hit is None:
-            hit = self._paths[(v, m)] = _path(self.F, v, m)
+            w = clip(add(v, m), self.F.box)
+            hit = self._paths[(v, m)] = (w, self.map(v, w))
+        return hit
+
+    def sources(self, w):
+        """(k, v*_k(w)) at each level k where v* moves, past the levels
+        with v* = w (there the test asks S(w) = F(w), as level 0 does). The
+        list ends with (k, None) once no point lands on w or F(v*) is zero:
+        from level k on, w passes for every S."""
+        out = self._sources.get(w)
+        if out is None:
+            box, out, last = self.F.box, [], w
+            for k, corner in enumerate(self.corners):
+                v = tuple(a if a == box else a - c for a, c in zip(w, corner))
+                if v == last:
+                    continue
+                if min(v) < 0 or not self.F.dims[v]:
+                    out.append((k, None))
+                    break
+                out.append((k, v))
+                last = v
+            self._sources[w] = out
+        return out
+
+    def first_level(self, w, B: Mat):
+        """The index of the first level at which w passes for S(w) = B, a
+        canonical basis of a proper subspace of F(w); len(levels) if none
+        does. Memoised on (w, B.data)."""
+        key = (w, B.data)
+        hit = self._first.get(key)
+        if hit is None:
+            hit = len(self.levels)
+            for k, v in self.sources(w):
+                if v is None or fp.span_contains(B, self.map(v, w)):
+                    hit = k
+                    break
+            self._first[key] = hit
         return hit
 
 
@@ -476,18 +540,36 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     read off S's canonical bases with no quotient built; given a closed K
     in F and S = 0, noise_size(spec, K), which sizes a kernel.
 
-    A point v of F/S lies within level eps when every x in F(v) is carried
-    into S(w), w = v+m clipped, by an offset m of cost at most eps. Where
-    those offsets have a quiet corner that is one test, F(v <= w) lands in
-    S(w); otherwise the kill test runs on one representative per nonzero
-    class of F(v)/S(v), the vectors supported on the non-pivot rows of
-    S(v)'s basis, so ELEMENT_CAP sees the dimension of the quotient (or of
-    K(v)). The test is monotone in eps, so the size is found by one
-    ascending walk of the levels across the points."""
+    When every level has a quiet corner (`scorer.corners`), F/S is within
+    level k iff colspan F(v*_k(w) <= w) lies in S(w) at every w, so the
+    size is levels[max over w of the first passing level at w], each one
+    memoised on (w, S(w).data); a point with S(w) = F(w) passes at level
+    0. The three-line proof is in the module docstring.
+
+    Otherwise, and for every K, the levels are walked: a point v of F/S
+    lies within level eps when every x in F(v) is carried into S(w), w =
+    v+m clipped, by an offset m of cost at most eps. Where those offsets
+    have a quiet corner that is one test, F(v <= w) lands in S(w);
+    otherwise the kill test runs on one representative per nonzero class
+    of F(v)/S(v), the vectors supported on the non-pivot rows of S(v)'s
+    basis, so ELEMENT_CAP sees the dimension of the quotient (or of K(v)).
+    The test is monotone in eps, so the size is found by one ascending walk
+    of the levels across the points."""
     F, levels = scorer.F, scorer.levels
     if K is not None and any(S.basis[v].cols for v in F.points()):
         raise ValueError("a submodule K is sized only over S = 0")
     k = 0
+    if K is None and scorer.corners is not None:
+        for w in scorer.points:
+            B = S.basis[w]
+            if B.cols == F.dims[w]:
+                continue
+            first = scorer.first_level(w, B)
+            if first > k:
+                if first == len(levels):
+                    return INFINITE
+                k = first
+        return levels[k]
     for v in F.points():
         if S.basis[v].cols == F.dims[v]:
             continue

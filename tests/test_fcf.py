@@ -489,9 +489,11 @@ def test_scorer_matches_quotient_sizes_r2_r3():
 
 
 def test_scorer_element_cap_counts_quotient_classes():
-    # r=3 and no quiet corner at level 1: the kill test enumerates F(v)/S(v)
+    # r=3 and no quiet corner at level 1: F/S is sized by the level walk,
+    # whose kill test enumerates F(v)/S(v)
     F = make_module(3, Q(1), 1, 2, {(0, 0, 0): 17})
     S = st.zero_submodule(F)
+    assert ns.QuotientScorer(NO_CORNER3, F).corners is None
     with pytest.raises(ElementEnumerationTooLarge):
         _quotient_size(NO_CORNER3, F, S)
     with pytest.raises(ElementEnumerationTooLarge):
@@ -674,6 +676,74 @@ def test_scorer_memo_matches_unmemoised_test(monkeypatch):
     assert refused > 0
 
 
+def test_per_point_sizes_match_the_level_walk(monkeypatch):
+    # every level of these specs has a quiet corner, so F/S is sized point
+    # by point and the level walk never runs; the closed submodules that
+    # `_check_scorer_memo` sizes include S = 0 and S = F
+    def refuse(*args):
+        raise AssertionError("the level walk ran for a spec with corners")
+
+    monkeypatch.setattr(ns, "_point_within", refuse)
+    rng = random.Random(37)
+    cases = []
+    for p in (2, 3):
+        for alpha in (Q(1), Q(1, 2)):
+            for box in range(7):
+                F = random_line_module(rng, box=box, p=p, maxdim=2,
+                                       alpha=alpha,
+                                       total_cap=6 if p == 2 else 4)
+                cases += [(spec, F) for spec in (
+                    RAY1, ConeNoise(((2,),)), ns.VNormNoise(((Q(1, 2),),)))]
+    for _ in range(5):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        cases += [(ns.parse_noise_spec(text), F) for text in (
+            "cone:1,1", "cone:1,0", "cone:1,2", "vnorm:1,0;0,1")]
+    for _ in range(4):
+        F = random_sum_module(rng, r=3, box=1, p=2, summands=2)
+        cases.append((ns.parse_noise_spec("cone:1,1,1"), F))
+    sizes = set()
+    for spec, F in cases:
+        assert ns.QuotientScorer(spec, F).corners is not None, spec
+        sizes.update(_check_scorer_memo(spec, F))
+    assert {Q(0), Q(1, 2), Q(1), Q(2), INFINITE} <= sizes
+
+
+def _bar_by_pairs(spec, F):
+    """bar_search's breakpoints as the smallest rank over every scored
+    submodule of size at most each finite size."""
+    full_rank = st.rank(F)
+    pairs = [(rk, sg) for rk, sg, _ in fc._scored_submodules(spec, F)
+             if sg != INFINITE]
+    bps = [(Q(0), full_rank, False)]
+    for c in sorted({sg for _, sg in pairs}):
+        best = min((rk for rk, sg in pairs if sg <= c), default=full_rank)
+        if best != bps[-1][1]:
+            bps.append((c, best, True))
+    return FeatureCountingFunction(tuple(bps))
+
+
+def test_bar_search_matches_the_minimum_over_pairs():
+    rng = random.Random(38)
+    modules = [(spec, random_line_module(rng, box=rng.randrange(1, 6), p=p,
+                                         maxdim=2, total_cap=5))
+               for p in (2, 3) for _ in range(10)
+               for spec in (RAY1, ns.VNormNoise(((Q(1, 2),),)))]
+    modules += [(spec, random_sum_module(rng, r=2, box=2, p=2, summands=3))
+                for _ in range(3)
+                for spec in (DIAG2, ConeNoise(((1, 2), (2, 1))))]
+    modules += [(NO_CORNER3, random_sum_module(rng, r=3, box=1, p=2,
+                                               summands=2))
+                for _ in range(4)]
+    modules += [(DIAG2, F) for F in (ga.hook_module(), ga.staircase_module(),
+                                     ga.plane_example_module())]
+    drops = 0
+    for spec, F in modules:
+        got = bar_search(spec, F, [Q(1)]).fcf
+        assert got == _bar_by_pairs(spec, F), (spec, F.dims)
+        drops += len(got.breakpoints) > 2
+    assert drops > 0
+
+
 def test_walk_memo_matches_unmemoised_walk(monkeypatch):
     rng = random.Random(36)
     modules = [random_line_module(rng, box=rng.randrange(1, 6), p=p,
@@ -814,6 +884,33 @@ def test_closeness_bound_matches_map_sums(monkeypatch):
                     (want_wit.source, want_wit.target)
                 assert {v: m.data for v, m in wit.mats.items()} == \
                     {v: m.data for v, m in want_wit.mats.items()}
+
+
+def test_closeness_bound_reduces_each_point_matrix_once(monkeypatch):
+    # the maps of one Hom space share most of their point matrices; each
+    # distinct one has its kernel reduced once per call
+    rng = random.Random(88)
+    F = random_line_module(rng, box=3, p=2, maxdim=2, total_cap=5)
+    G = direct_sum(F, make_bar(Bar((1,), (3,)), 3, Q(1), 2))
+    want, want_wit = _closeness_by_map_sums(RAY1, F, G)
+    maps = [phi for src, dst in ((F, G), (G, F)) for phi in _maps(src, dst)]
+    seen = []
+    kernel_basis = fp.kernel_basis
+
+    def counted(A):
+        seen.append(A)
+        return kernel_basis(A)
+
+    monkeypatch.setattr(fp, "kernel_basis", counted)
+    got, wit = closeness_upper_bound(RAY1, F, G)
+    assert got == want
+    assert {v: m.data for v, m in wit.mats.items()} == \
+        {v: m.data for v, m in want_wit.mats.items()}
+    # at most one reduction per (direction, point, matrix), besides the
+    # one Hom system per direction; without the memo, one per map and point
+    distinct = len({(phi.source.dims == F.dims, v, m.data)
+                    for phi in maps for v, m in phi.mats.items()})
+    assert len(seen) <= distinct + 2 < len(maps) * len(wit.mats)
 
 
 def _interleaved_by_brute_force(F, G, tau):
