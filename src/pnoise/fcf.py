@@ -14,8 +14,8 @@ walking the levels with the kill rule (every x in F(v) is carried into
 S(v+m) by a quiet offset m). The exhaustive walk counts rank(S) as it
 descends; the other searches take it from `structure.submodule_rank`. The
 one-parameter case has a closed form through the barcode. Budgets of maps
-size ker phi as K/0 in the source (always by the level walk) and coker
-phi as target/im phi.
+size ker phi as K/0 in the source's scorer and coker phi as target/im phi
+in the target's, building no module, for every kind of spec.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from . import barcode as bc
 from . import field as fp
 from . import noise as ns
 from . import structure as st
-from .errors import (NotClosedUnderSums, NotOneDimensional,
-                     SearchSpaceTooLarge, UnsupportedNoise)
+from .errors import NotOneDimensional, SearchSpaceTooLarge, UnsupportedNoise
 from .field import Mat
 from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
@@ -179,16 +178,11 @@ def _kernel_and_image(phi: st.NatMap, memo):
 
 
 def _budget(spec, phi: st.NatMap, scorers=(), memo=None) -> EquivalenceBudget:
-    """phi's budget from the (source, target) scorers of a cone-shaped spec,
-    built here if not given; other kinds build ker phi and coker phi. memo
-    holds reduced kernel and image bases for maps of one source and target
-    (`_kernel_and_image`)."""
+    """phi's budget from the (source, target) scorers, built here if not
+    given: ker phi sized as K/0 in the source, coker phi as target/im phi.
+    memo holds reduced kernel and image bases for maps of one source and
+    target (`_kernel_and_image`)."""
     ker, im = _kernel_and_image(phi, {} if memo is None else memo)
-    if not isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        ker_mod, _ = st.submodule_to_module(ker)
-        coker_mod, _ = st.cokernel(phi)
-        return EquivalenceBudget(ns.noise_size(spec, ker_mod),
-                                 ns.noise_size(spec, coker_mod))
     src, dst = scorers or (ns.QuotientScorer(spec, phi.source),
                            ns.QuotientScorer(spec, phi.target))
     return EquivalenceBudget(
@@ -210,13 +204,11 @@ def bar_r1(spec, F: GridModule) -> FeatureCountingFunction:
     # a bar [s, e) is eps-small exactly when the offset e - s, which its
     # start needs to die, costs at most eps: r=1 offset costs are finite
     # (every direction is positive) and grow with the offset. A free bar
-    # never dies.
+    # never dies. Every r=1 cone-shaped spec is closed under sums (each
+    # direction's norm-eps representative is (eps,)), so bars add up.
     costs = ns._cost_table(spec, F.alpha, F.box, 1)
     sizes = [INFINITE if b.end is None else costs[(b.end[0] - b.start[0],)]
              for b in bc.decompose(F)]
-    for s in sizes:
-        if s != INFINITE and s > 0 and not ns.closed_under_sums(spec, s):
-            raise NotClosedUnderSums(f"level {s}")
     finite = sorted({s for s in sizes if s != INFINITE})
     bps = [(Fraction(0), len(sizes), False)]
     for s in finite:
@@ -577,9 +569,8 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
     if modules_equal(F, G):
         return Fraction(0), st.identity_map(F)
     best, wit = INFINITE, None
-    fg = ()   # one scorer per module, read by every map's budget
-    if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        fg = (ns.QuotientScorer(spec, F), ns.QuotientScorer(spec, G))
+    # one scorer per module, read by every map's budget
+    fg = (ns.QuotientScorer(spec, F), ns.QuotientScorer(spec, G))
     for src, dst, scorers in ((F, G, fg), (G, F, fg[::-1])):
         pts = list(src.points())
         basis = [_flat([phi.mats[v] for v in pts])

@@ -14,11 +14,13 @@ the witness's norm (w_i for cones, a_j for vnorm). Offset costs, feasible
 offsets and the closure-under-sums test all start from it.
 
 Their one kill test is `_point_test`: x in F(v) dies in F/S along m when
-F(v <= v+m)x lies in S(v+m). Membership runs it on F/0; `quotient_size`
-sizes F/S, F, or a closed K/0 (the kernel of a map out of F), building no
-module. One `QuotientScorer` per (spec, F) holds the levels, their kill
-offsets, the maps F(v <= w) and the verdicts found, each reused for every
-S (and K) agreeing where the test reads.
+F(v <= v+m)x lies in S(v+m). Membership runs it on F/0 at one level;
+`quotient_size` sizes F/S, F, or a closed K/0 (the kernel of a map out of
+F) for every kind of spec, building no module: domain and dimension specs
+read only the quotient's dimensions, an intersection its largest part
+size. One `QuotientScorer` per (spec, F) decides the kind and holds the
+levels, their kill offsets, the maps F(v <= w) and the verdicts found,
+each reused for every S (and K) agreeing where the test reads.
 
 When every level k has a quiet corner c_k (all of r=1, and e.g. cone:1,1),
 F/S is within level k iff at every point w, colspan F(v* <= w) lies in
@@ -166,8 +168,9 @@ class DimensionNoise:
     """F is eps-small when dim F(v) <= n(eps) everywhere.
 
     steps: ((eps, n), ...) sorted; the threshold is the value at the largest
-    breakpoint <= eps (0 before the first one). The sequence must be
-    superadditive: n(a) + n(b) <= n(a+b). Immutable by convention."""
+    breakpoint <= eps (0 before the first one). The thresholds must not
+    decrease, so that the levels grow with eps, and must be superadditive:
+    n(a) + n(b) <= n(a+b). Immutable by convention."""
     __slots__ = ("steps",)
 
     def __init__(self, steps):
@@ -177,6 +180,8 @@ class DimensionNoise:
             raise ValueError("steps must be strictly increasing in eps")
         if any(n < 0 for _, n in self.steps):
             raise ValueError("thresholds must be >= 0")
+        if any(b < a for (_, a), (_, b) in zip(steps, steps[1:])):
+            raise ValueError("thresholds must not decrease in eps")
         if self.threshold(0) != 0:
             raise ValueError("n(0) must be 0")
         top = self.steps[-1][0]
@@ -374,8 +379,19 @@ def _elements(dim, p):
     return itertools.product(range(p), repeat=dim)
 
 
+def _dims_within(spec, F: GridModule, dims, eps) -> bool:
+    """Is a module on F's grid with dimension dims[v] at each point v within
+    level eps of a domain or dimension spec? Neither reads anything else."""
+    if isinstance(spec, DomainNoise):
+        boxes = spec.region(eps)
+        return all(_cell_covered(*_cell(F, v), boxes)
+                   for v in F.points() if dims[v])
+    return max(dims.values(), default=0) <= spec.threshold(eps)
+
+
 def contains(spec, F: GridModule, eps) -> bool:
-    """Is F within noise level eps?"""
+    """Is F within noise level eps? Tests that one level only: a kill test
+    over too many elements is refused even where a larger level passes."""
     eps = Fraction(eps)
     if eps < 0:
         return False
@@ -386,38 +402,25 @@ def contains(spec, F: GridModule, eps) -> bool:
         return all(_point_test(F, zero, v, corner_ok,
                                [_path(F, v, m) for m in offsets])
                    for v in F.points() if F.dims[v])
-    if isinstance(spec, DomainNoise):
-        boxes = spec.region(eps)
-        return all(_cell_covered(*_cell(F, v), boxes)
-                   for v in F.points() if F.dims[v])
-    if isinstance(spec, DimensionNoise):
-        n = spec.threshold(eps)
-        return max(F.dims.values(), default=0) <= n
+    if isinstance(spec, (DomainNoise, DimensionNoise)):
+        return _dims_within(spec, F, F.dims, eps)
     if isinstance(spec, Intersection):
         return all(contains(part, F, eps) for part in spec.parts)
     raise UnsupportedNoise(type(spec).__name__)
 
 
 def noise_size(spec, F: GridModule):
-    """Smallest eps with contains(spec, F, eps), or INFINITE."""
-    if F.total_dim() == 0:
-        return Fraction(0)
-    if isinstance(spec, (ConeNoise, VNormNoise)):
-        return quotient_size(QuotientScorer(spec, F), zero_submodule(F))
-    # membership is monotone in eps and changes only at a candidate; an
-    # intersection's candidates are its parts', so the first one where all
-    # parts hold is the largest part size
-    for eps in noise_candidates(spec, F):
-        if contains(spec, F, eps):
-            return eps
-    return INFINITE
+    """Smallest eps with contains(spec, F, eps), or INFINITE: the size of
+    F/0 in a scorer of F, for every kind of spec."""
+    return quotient_size(QuotientScorer(spec, F), zero_submodule(F))
 
 
 class QuotientScorer:
-    """What `quotient_size` needs of one cone-shaped spec and one module F,
-    computed once per search: the levels where membership can change, the
-    kill data (`_kill_offsets`) of each level, and lazily filled tables of
-    the maps F(v <= w) and of the answers already found.
+    """What `quotient_size` needs of one spec and one module F, computed
+    once per search: the spec's kind, a scorer per part of an intersection
+    (`parts`), the levels where membership can change, and for a
+    cone-shaped spec the kill data (`_kill_offsets`) of each level and
+    lazily filled tables of the maps F(v <= w) and of the answers found.
 
     When every level k has a quiet corner c_k, `corners` lists them and
     F/S is sized point by point: F/S is within level k iff colspan
@@ -432,10 +435,14 @@ class QuotientScorer:
     def __init__(self, spec, F: GridModule):
         self.spec, self.F = spec, F
         self.levels = noise_candidates(spec, F)
-        self.kills = [_kill_offsets(spec, F.alpha, F.box, F.r, eps)
-                      for eps in self.levels]
-        self.corners = ([corner for _, corner, _ in self.kills]
-                        if all(ok for _, _, ok in self.kills) else None)
+        self.parts = self.kills = self.corners = None
+        if isinstance(spec, Intersection):
+            self.parts = [QuotientScorer(part, F) for part in spec.parts]
+        elif isinstance(spec, (ConeNoise, VNormNoise)):
+            self.kills = [_kill_offsets(spec, F.alpha, F.box, F.r, eps)
+                          for eps in self.levels]
+            self.corners = ([corner for _, corner, _ in self.kills]
+                            if all(ok for _, _, ok in self.kills) else None)
         self.points = [w for w in F.points() if F.dims[w]]
         self._maps = {}
         self._paths = {}
@@ -538,7 +545,10 @@ def _point_test(F: GridModule, S: Submodule, v, corner_ok, paths):
 def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     """noise_size(spec, F/S) for a closed submodule S of the scorer's F,
     read off S's canonical bases with no quotient built; given a closed K
-    in F and S = 0, noise_size(spec, K), which sizes a kernel.
+    in F and S = 0, noise_size(spec, K), which sizes a kernel. A domain or
+    dimension spec reads only dim F(v) - dim S(v) (dim K(v)): the size is
+    the first level those dimensions pass. An intersection takes its
+    largest part size, as each part's levels grow with eps.
 
     When every level has a quiet corner (`scorer.corners`), F/S is within
     level k iff colspan F(v*_k(w) <= w) lies in S(w) at every w, so the
@@ -546,7 +556,7 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     memoised on (w, S(w).data); a point with S(w) = F(w) passes at level
     0. The three-line proof is in the module docstring.
 
-    Otherwise, and for every K, the levels are walked: a point v of F/S
+    Otherwise a cone-shaped spec's levels are walked: a point v of F/S
     lies within level eps when every x in F(v) is carried into S(w), w =
     v+m clipped, by an offset m of cost at most eps. Where those offsets
     have a quiet corner that is one test, F(v <= w) lands in S(w);
@@ -554,7 +564,7 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     of F(v)/S(v), the vectors supported on the non-pivot rows of S(v)'s
     basis, so ELEMENT_CAP sees the dimension of the quotient (or of K(v)).
     The test is monotone in eps, so the size is found by one ascending walk
-    of the levels across the points."""
+    of the levels across the points; every K is sized so."""
     F, levels = scorer.F, scorer.levels
     if K is not None and any(S.basis[v].cols for v in F.points()):
         raise ValueError("a submodule K is sized only over S = 0")
@@ -570,6 +580,13 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
                     return INFINITE
                 k = first
         return levels[k]
+    if scorer.kills is None:    # not cone-shaped
+        if scorer.parts is not None:
+            return max(quotient_size(part, S, K) for part in scorer.parts)
+        dims = {v: F.dims[v] - S.basis[v].cols if K is None
+                else K.basis[v].cols for v in F.points()}
+        return next((eps for eps in levels
+                     if _dims_within(scorer.spec, F, dims, eps)), INFINITE)
     for v in F.points():
         if S.basis[v].cols == F.dims[v]:
             continue
@@ -643,21 +660,10 @@ def _rationally_independent(vecs):
 
 
 def _intersect_bases(a: Mat, b: Mat) -> Mat:
-    """Column-reduced basis of colspan(a) & colspan(b)."""
-    if a.cols == 0 or b.cols == 0:
-        return Mat.zeros(a.rows, 0, a.p)
-    joint = a.hstack(b.scale(-1))
-    ker = fp.kernel_basis(joint)
-    cols = []
-    for j in range(ker.cols):
-        coeffs = ker.col(j)[:a.cols]
-        vec = [0] * a.rows
-        for k, c in enumerate(coeffs):
-            if c:
-                col = a.col(k)
-                vec = [(x + c * y) % a.p for x, y in zip(vec, col)]
-        cols.append(tuple(vec))
-    return fp.column_reduce(Mat.from_cols(cols, a.rows, a.p))
+    """Column-reduced basis of colspan(a) & colspan(b): the kernel of the
+    two quotient maps stacked."""
+    return fp.column_reduce(fp.kernel_basis(
+        fp.quotient_map(a, a.rows).vstack(fp.quotient_map(b, b.rows))))
 
 
 def max_noise_submodule(spec, F: GridModule, eps) -> Submodule:

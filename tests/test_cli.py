@@ -124,6 +124,13 @@ def test_fcf_bad_noise(line_file, capsys):
     assert main(["fcf", line_file, "--noise", "wat", "--t", "1"]) == 2
 
 
+def test_fcf_decreasing_dimension_thresholds(line_file, capsys):
+    assert main(["fcf", line_file, "--noise", "dim:0@0,5@2,1@3",
+                 "--t", "1"]) == 2
+    e = stderr_json(capsys)
+    assert e["code"] == "parse" and "not decrease" in e["message"]
+
+
 def test_fcf_ragged_noise_directions(hook_file, capsys):
     assert main(["fcf", hook_file, "--noise", "cone:1,1;1", "--t", "1"]) == 2
     e = stderr_json(capsys)

@@ -25,6 +25,7 @@ from pnoise.noise import INFINITE, ConeNoise
 
 from conftest import random_bar, random_line_module, random_sum_module
 from module_checks import check_natural
+from noise_oracle import noise_size_by_candidates, random_specs
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -148,11 +149,12 @@ def test_budget_of_free_inclusion():
 
 def _budget_by_modules(spec, phi):
     """The slow path the scorers replace: build ker phi and coker phi as
-    modules and size each one."""
+    modules and size each one (domain, dimension and intersection specs by
+    the candidate loop)."""
     ker_mod, _ = st.submodule_to_module(st.kernel(phi))
     coker_mod, _ = st.cokernel(phi)
-    return EquivalenceBudget(ns.noise_size(spec, ker_mod),
-                             ns.noise_size(spec, coker_mod))
+    return EquivalenceBudget(noise_size_by_candidates(spec, ker_mod),
+                             noise_size_by_candidates(spec, coker_mod))
 
 
 def _maps(src, dst):
@@ -237,6 +239,31 @@ def test_budgets_match_module_path_r2_r3():
     assert {b.mu for b in budgets} >= {0, 1, 2, INFINITE}
 
 
+def test_budgets_of_every_spec_kind_match_module_path():
+    # domain and dimension specs read only the dimensions of K(v) and of
+    # G(v)/im phi(v); an intersection takes the largest part size
+    rng = random.Random(45)
+    budgets = []
+    for p in (2, 3):
+        pairs = []
+        for _ in range(4):
+            F = random_line_module(rng, box=3, p=p, maxdim=2, total_cap=4)
+            bar = make_bar(random_bar(rng, 1, 3), 3, Q(1), p)
+            G = random_line_module(rng, box=3, p=p, maxdim=2, total_cap=4)
+            pairs += [(F, F), (F, direct_sum(F, bar)), (F, G)]
+        for spec in random_specs(rng, 1, 3, (RAY1,), 3):
+            budgets += _check_budgets(spec, pairs, most=12)
+    pairs = []
+    for _ in range(3):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        G = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        pairs += [(F, F), (F, G)]
+    for spec in random_specs(rng, 2, 2, (DIAG2, ns.parse_noise_spec(
+            "cone:1,0")), 3):
+        budgets += _check_budgets(spec, pairs, most=12)
+    assert _kernels_and_cokernels_vary(budgets)
+
+
 def _projection_and_inclusion():
     """The projection [0,2) + [0,inf) -> [0,inf), whose kernel is the bar
     [0,2), and the inclusion [2,inf) -> [0,inf), whose cokernel is it."""
@@ -254,7 +281,7 @@ def _projection_and_inclusion():
 
 def test_budgets_of_specs_without_a_scorer():
     # the bar [0,2) has dimension 1, lies in [0,2), and dies after 2 along
-    # the ray; those kinds keep the module path
+    # the ray; the scorers size every kind without building the bar
     proj, incl = _projection_and_inclusion()
     check_natural(proj)
     check_natural(incl)
@@ -297,12 +324,25 @@ def test_budgets_build_no_module(monkeypatch):
               for engine in ("exhaustive", "orbit")]
     denoised = [dn.subfunctor_denoise(DIAG2, F, Q(2), engine)
                 for F, engine in stairs]
+    # one spec of each kind that the scorer sizes by dimensions
+    dim = ns.DimensionNoise(((Q(0), 0), (Q(1), 1), (Q(2), 2)))
+    domain = ns.DomainNoise(((Q(1), (((Q(0),), (Q(2),)),)),
+                             (Q(2), (((Q(0),), (Q(3),)),))))
+    kinds = [(spec, [_closeness_by_map_sums(spec, F, G)[0]
+                     for F, G in pairs[:4]])
+             for spec in (dim, domain, ns.Intersection((RAY1, dim)))]
+    assert len({b for _, bounds in kinds for b in bounds}) > 2
     monkeypatch.setattr(st, "cokernel", refuse)
     monkeypatch.setattr(ns, "noise_size", refuse)
-    assert [closeness_upper_bound(RAY1, F, G)[0] for F, G in pairs] == want
+    # the denoised output is a module, built by submodule_to_module
     assert [dn.subfunctor_denoise(DIAG2, F, Q(2), engine)
             for F, engine in stairs] == denoised
     assert all(d.rank == 2 for d in denoised)
+    monkeypatch.setattr(st, "submodule_to_module", refuse)
+    assert [closeness_upper_bound(RAY1, F, G)[0] for F, G in pairs] == want
+    for spec, bounds in kinds:
+        assert [closeness_upper_bound(spec, F, G)[0]
+                for F, G in pairs[:4]] == bounds, spec
 
 
 # -- bar through the barcode -----------------------------------------------
@@ -440,8 +480,9 @@ NO_CORNER3 = ConeNoise(((1, 1, 0), (1, 0, 1)))
 
 
 def _quotient_size(spec, F, S):
-    """The slow path the scorer replaces: build F/S and size it."""
-    return ns.noise_size(spec, st.quotient_by_submodule(F, S)[0])
+    """The slow path the scorer replaces: build F/S and size it (domain,
+    dimension and intersection specs by the candidate loop)."""
+    return noise_size_by_candidates(spec, st.quotient_by_submodule(F, S)[0])
 
 
 def _check_scorer_and_walk(spec, F):
@@ -486,6 +527,24 @@ def test_scorer_matches_quotient_sizes_r2_r3():
         F = random_sum_module(rng, r=3, box=1, p=2, summands=2)
         infinite += _check_scorer_and_walk(NO_CORNER3, F)
     assert infinite > 0
+
+
+def test_scorer_matches_quotient_sizes_of_every_spec_kind():
+    rng = random.Random(34)
+    sizes = set()
+    for p in (2, 3):
+        for _ in range(6):
+            F = random_line_module(rng, box=3, p=p, maxdim=2,
+                                   total_cap=5 if p == 2 else 4)
+            for spec in random_specs(rng, 1, 3, (RAY1,), 1):
+                _check_scorer_and_walk(spec, F)
+                sizes.add(ns.noise_size(spec, F))
+    for _ in range(4):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
+        for spec in random_specs(rng, 2, 2, (DIAG2,), 1):
+            _check_scorer_and_walk(spec, F)
+            sizes.add(ns.noise_size(spec, F))
+    assert len(sizes - {INFINITE}) > 2 and INFINITE in sizes
 
 
 def test_scorer_element_cap_counts_quotient_classes():

@@ -1,7 +1,8 @@
 """Every module-level import in src/pnoise is used (files that define
-__all__ re-export names by design and are skipped), and the package keeps
-its start-up small: no module imports `dataclasses`, and importing the CLI
-loads neither `dataclasses` nor `inspect`."""
+__all__ re-export names by design and are skipped), every absolute import
+is of the standard library (the package has no runtime dependencies), and
+the package keeps its start-up small: no module imports `dataclasses`, and
+importing the CLI loads neither `dataclasses` nor `inspect`."""
 
 import ast
 import os
@@ -56,6 +57,22 @@ def imports_of(tree):
         elif isinstance(node, ast.ImportFrom) and not node.level:
             names.add(node.module.split(".")[0])
     return names
+
+
+def non_stdlib_imports(tree):
+    return sorted(imports_of(tree) - sys.stdlib_module_names)
+
+
+def test_guard_sees_an_import_outside_the_standard_library():
+    tree = ast.parse("import numpy\nimport os.path\nfrom . import field\n"
+                     "def f():\n    from sympy import Rational\n")
+    assert non_stdlib_imports(tree) == ["numpy", "sympy"]
+
+
+def test_package_imports_only_the_standard_library():
+    found = {path.name: non_stdlib_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def test_no_module_imports_dataclasses():

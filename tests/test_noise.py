@@ -4,8 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import grid, noise, polyhedra as ph, structure as st
-from pnoise.errors import NotClosedUnderSums, ParseError, UnsupportedNoise
+from pnoise import field as fp, grid, noise, polyhedra as ph
+from pnoise import structure as st
+from pnoise.errors import (ElementEnumerationTooLarge, NotClosedUnderSums,
+                           ParseError, UnsupportedNoise)
 from pnoise.field import Mat
 from pnoise.grid import (Bar, GridModule, direct_sum, make_bar, make_free,
                          make_module, modules_iso_rankwise, zero_module)
@@ -15,6 +17,8 @@ from pnoise.noise import (INFINITE, ConeNoise, DimensionNoise, DomainNoise,
                           max_noise_submodule, noise_size, parse_noise_spec)
 
 from conftest import random_line_module, random_sum_module
+from noise_oracle import (contains_by_rules, noise_size_by_candidates,
+                          random_specs)
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -265,6 +269,17 @@ def test_dimension_noise_superadditive_enforced():
         DimensionNoise(((Q(0), 0), (Q(1), 3), (Q(2), 4)))
 
 
+def test_dimension_noise_thresholds_must_not_decrease():
+    # 2+2 and 2+3 pass the last breakpoint, so superadditivity never reads
+    # the drop from 5 to 1; the levels would shrink from eps 2 to eps 3
+    with pytest.raises(ValueError, match="not decrease"):
+        DimensionNoise(((Q(0), 0), (Q(2), 5), (Q(3), 1)))
+    with pytest.raises(ParseError, match="not decrease"):
+        parse_noise_spec("dim:0@0,5@2,1@3")
+    assert DimensionNoise(((Q(0), 0), (Q(2), 5), (Q(3), 5))).threshold(4) \
+        == 5
+
+
 def test_domain_noise():
     spec = DomainNoise(((Q(1), (((Q(0), Q(0)), (Q(3), Q(3))),)),))
     dims = {v: 1 for v in [(0, 0), (0, 1), (1, 0), (1, 1)]}
@@ -291,6 +306,53 @@ def test_intersection():
     assert not contains(spec, F, Q(1))
 
 
+def test_sizes_and_membership_match_the_rules():
+    # noise_size through the scorer against the candidate loop, and
+    # contains at every candidate, between candidates and below 0 against
+    # the rules it ran before
+    rng = random.Random(46)
+    cases = []
+    for p in (2, 3):
+        for _ in range(10):
+            F = random_line_module(rng, box=3, p=p, maxdim=3)
+            cases += [(spec, F) for spec in random_specs(
+                rng, 1, 3, (RAY1, VNormNoise(((Q(2),),))), 2)]
+    for _ in range(6):
+        F = random_sum_module(rng, r=2, box=2, summands=3)
+        cases += [(spec, F) for spec in random_specs(
+            rng, 2, 2, (DIAG2, parse_noise_spec("cone:1,1;1,0")), 2)]
+    cases.append((cases[0][0], zero_module(1, Q(1), 3, 2)))
+    sizes, answers = set(), set()
+    for spec, F in cases:
+        size = noise_size(spec, F)
+        assert size == noise_size_by_candidates(spec, F), (spec, F.dims)
+        sizes.add(size)
+        cands = noise.noise_candidates(spec, F)
+        between = [(a + b) / 2 for a, b in zip(cands, cands[1:])]
+        for eps in cands + between + [Q(-1), Q(-1, 2), cands[-1] + 1]:
+            got = contains(spec, F, eps)
+            assert got == contains_by_rules(spec, F, eps), (spec, eps)
+            answers.add((got, eps < 0))
+    assert len(sizes - {INFINITE}) > 3 and {Q(0), INFINITE} <= sizes
+    assert answers == {(True, False), (False, False), (False, True)}
+
+
+NO_CORNER3 = ConeNoise(((1, 1, 0), (1, 0, 1)))
+
+
+def test_contains_tests_one_level():
+    # a 17-dimensional point: level 1 has no quiet corner, so its kill test
+    # would enumerate 2^17 elements and is refused, while levels 0, 2 and 3
+    # answer; noise_size walks the levels and so refuses at level 1
+    F = make_module(3, Q(1), 1, 2, {(0, 0, 0): 17})
+    assert not contains(NO_CORNER3, F, 0)
+    with pytest.raises(ElementEnumerationTooLarge):
+        contains(NO_CORNER3, F, 1)
+    assert contains(NO_CORNER3, F, 2) and contains(NO_CORNER3, F, 3)
+    with pytest.raises(ElementEnumerationTooLarge):
+        noise_size(NO_CORNER3, F)
+
+
 # -- closure under sums ----------------------------------------------------
 
 
@@ -305,7 +367,59 @@ def test_closed_under_sums_cases():
         VNormNoise(((Q(1), Q(0)), (Q(0), Q(1)))), Q(1))
 
 
+def test_every_r1_spec_is_closed_under_sums():
+    # each direction's norm-eps representative is (eps,), whose cost is eps
+    # (a cone) or at most eps (a vnorm), so `bar_r1` reads bars one by one
+    rng = random.Random(47)
+    for _ in range(200):
+        dirs = [(Q(rng.randrange(1, 9), rng.randrange(1, 5)),)
+                for _ in range(rng.randrange(1, 4))]
+        spec = rng.choice([ConeNoise, VNormNoise])(dirs)
+        eps = Q(rng.randrange(0, 13), rng.randrange(1, 5))
+        assert closed_under_sums(spec, eps), (spec, eps)
+
+
 # -- maximal noise subfunctors --------------------------------------------
+
+
+def _intersect_bases_by_coefficients(a, b):
+    """The kernel of [a | -b] read back through a's columns."""
+    if a.cols == 0 or b.cols == 0:
+        return Mat.zeros(a.rows, 0, a.p)
+    ker = fp.kernel_basis(a.hstack(b.scale(-1)))
+    cols = []
+    for j in range(ker.cols):
+        coeffs = ker.col(j)[:a.cols]
+        vec = [0] * a.rows
+        for k, c in enumerate(coeffs):
+            if c:
+                col = a.col(k)
+                vec = [(x + c * y) % a.p for x, y in zip(vec, col)]
+        cols.append(tuple(vec))
+    return fp.column_reduce(Mat.from_cols(cols, a.rows, a.p))
+
+
+def test_intersect_bases_match_coefficient_oracle():
+    rng = random.Random(48)
+
+    def subspace(d, p):
+        pick = rng.random()
+        if pick < 0.15:
+            return Mat.zeros(d, 0, p)
+        if pick < 0.3:
+            return Mat.identity(d, p)
+        cols = [tuple(rng.randrange(p) for _ in range(d))
+                for _ in range(rng.randrange(d + 2))]
+        return fp.column_reduce(Mat.from_cols(cols, d, p))
+
+    dims = set()
+    for _ in range(3000):
+        p, d = rng.choice((2, 3, 5)), rng.randrange(6)
+        a, b = subspace(d, p), subspace(d, p)
+        got = noise._intersect_bases(a, b)
+        assert got == _intersect_bases_by_coefficients(a, b), (a, b)
+        dims.add((a.cols, b.cols, got.cols))
+    assert len(dims) > 40
 
 
 def test_max_submodule_free_is_zero():
@@ -338,7 +452,6 @@ def test_max_submodule_maximality_random():
         corner = (1,)
         for v in F.points():
             ker = grid.evaluate_map(F, v, grid.add(v, corner))
-            from pnoise import field as fp
             assert S.basis[v].cols == fp.kernel_basis(ker).cols
 
 
