@@ -2,8 +2,8 @@
 equivalence budgets of natural maps, and the minimal-rank invariant bar(F).
 
 bar(F)_t asks for the smallest rank among subfunctors whose inclusion
-cokernel is quieter than t. Two engines answer it: an exhaustive walk over
-all closed submodules (exact, capped by their number), and a
+cokernel is quieter than t. Two engines answer it: an exhaustive search
+over all closed submodules (exact, capped by their number), and a
 generator-orbit search over spans of shifted minimal generators (upper
 bound). Every search, here and in denoising, builds one
 `noise.QuotientScorer` per (spec, F) and sizes each candidate S with
@@ -11,11 +11,17 @@ bound). Every search, here and in denoising, builds one
 without building F/S: when every level has a quiet corner, as the largest
 first passing level over the points w, each memoised on S(w); otherwise by
 walking the levels with the kill rule (every x in F(v) is carried into
-S(v+m) by a quiet offset m). The exhaustive walk counts rank(S) as it
-descends; the other searches take it from `structure.submodule_rank`. The
-one-parameter case has a closed form through the barcode. Budgets of maps
-size ker phi as K/0 in the source's scorer and coker phi as target/im phi
-in the target's, building no module, for every kind of spec.
+S(v+m) by a quiet offset m). With quiet corners, the exhaustive bar search
+scores no submodule one by one: rank(S) and that largest first level both
+grow point by point along the walk, so a dynamic program keeps one least
+rank per (bases on the frontier, level so far) (`_least_rank_by_level`),
+and its work is its states, at most as many as the closed submodules.
+Without them, and for a witness S, the walk lists every closed submodule,
+counting rank(S) as it descends; the other searches take it from
+`structure.submodule_rank`. The one-parameter case has a closed form
+through the barcode. Budgets of maps size ker phi as K/0 in the source's
+scorer and coker phi as target/im phi in the target's, building no module,
+for every kind of spec.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
 from .noise import INFINITE
 
-EXHAUSTIVE_WORK_CAP = 2 ** 15  # closed submodules the exhaustive walk scores
+# closed submodules an exhaustive search covers, counted before any is
+# sized; the walk scores each one, the frontier DP has at most that many
+# states
+EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
 
@@ -243,6 +252,7 @@ def _all_subspaces(p, d):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _subspace_count(p, d):
     """Number of subspaces of F_p^d: the sum over k of the Gaussian
     binomials [d choose k]_p."""
@@ -265,10 +275,12 @@ def _subspace_key(B: Mat):
                                   if j not in pivots))
 
 
+@lru_cache(maxsize=None)
 def _superspaces(U: Mat):
     """Canonical bases of the subspaces of F_p^d that contain colspan(U), U
     canonical, in `_all_subspaces` order: each subspace of the quotient,
-    written on the rows off U's pivots, joined to U."""
+    written on the rows off U's pivots, joined to U. A pure function of U,
+    so kept for the process under (p, rows, cols, data), as Mat hashes."""
     d, p = U.rows, U.p
     if U.cols == 0:
         return _all_subspaces(p, d)
@@ -280,30 +292,36 @@ def _superspaces(U: Mat):
         lift = Mat(p, d, Q.cols, tuple(rows.get(i, (0,) * Q.cols)
                                        for i in range(d)))
         out.append(fp.column_reduce(U.hstack(lift)))
-    return sorted(out, key=_subspace_key)
+    return tuple(sorted(out, key=_subspace_key))
+
+
+def _pushed(F: GridModule, v, preds, assign, memo):
+    """The canonical basis of the images in F(v) of S at v's predecessors
+    preds, their bases in assign; memo maps (v, those bases) to it, as it
+    depends on nothing else."""
+    key = (v, tuple(assign[u].data for u, _ in preds))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = fp.column_reduce(st.predecessor_images(F, v, assign))
+    return hit
 
 
 def _images_at(F: GridModule, v, layer, pushed_memo):
-    """For each partial choice (rank, assign) of S before v: the canonical
-    basis of the images of S's predecessors in F(v), with the rank less its
-    dimension. Every subspace of F(v) containing those images completes to
-    at least one closed submodule, so their number, summed over the layer,
-    is capped before any is chosen. pushed_memo maps (v, the predecessors'
-    bases) to the image, which depends on nothing else."""
+    """For each partial choice of S before v, given as (the number of
+    partial submodules it stands for, their bases at v's predecessors):
+    the image of S's predecessors in F(v) (`_pushed`). Every subspace of
+    F(v) containing it completes to at least one closed submodule, so
+    their number, summed over the layer, is capped before any is chosen."""
     preds = st.predecessors(v)
     out, total = [], 0
-    for rank, assign in layer:
-        key = (v, tuple(assign[u].data for u, _ in preds))
-        pushed = pushed_memo.get(key)
-        if pushed is None:
-            pushed = pushed_memo[key] = fp.column_reduce(
-                st.predecessor_images(F, v, assign))
-        total += _subspace_count(F.p, F.dims[v] - pushed.cols)
+    for count, assign in layer:
+        pushed = _pushed(F, v, preds, assign, pushed_memo)
+        total += count * _subspace_count(F.p, F.dims[v] - pushed.cols)
         if total > EXHAUSTIVE_WORK_CAP:
             raise SearchSpaceTooLarge(
                 f"at least {total} closed submodules, over the cap "
                 f"{EXHAUSTIVE_WORK_CAP}")
-        out.append((rank - pushed.cols, assign, pushed))
+        out.append(pushed)
     return out
 
 
@@ -314,35 +332,97 @@ def _enumerate_submodules(F: GridModule):
     of partial choices per point; at v the choices are the subspaces that
     contain the images of S's predecessors, and the rank gains dim S(v)
     minus their dimension. The choices at the last point are counted
-    before the first submodule is yielded. Each image is reduced, and the
-    subspaces above it listed, once per walk."""
+    before the first submodule is yielded. Each image is reduced once per
+    walk."""
     *head, last = st.order(F.points())
-    pushed_memo, supers_memo = {}, {}
+    pushed_memo = {}
 
-    def choices(pushed):
-        hit = supers_memo.get(pushed.data)
-        if hit is None:
-            hit = supers_memo[pushed.data] = _superspaces(pushed)
-        return hit
+    def extend(v, layer):
+        images = _images_at(F, v, [(1, assign) for _, assign in layer],
+                            pushed_memo)
+        return [(rank + s.cols - pushed.cols, {**assign, v: s})
+                for (rank, assign), pushed in zip(layer, images)
+                for s in _superspaces(pushed)]
 
     layer = [(0, {})]
     for v in head:
-        layer = [(rank + s.cols, {**assign, v: s})
-                 for rank, assign, pushed in _images_at(F, v, layer,
-                                                        pushed_memo)
-                 for s in choices(pushed)]
-    for rank, assign, pushed in _images_at(F, last, layer, pushed_memo):
-        for s in choices(pushed):
-            yield rank + s.cols, {**assign, last: s}
+        layer = extend(v, layer)
+    yield from extend(last, layer)
 
 
-def _scored_submodules(spec, F: GridModule):
-    """Yield (rank, sigma, S) for every closed submodule S of F, sigma the
-    noise size of F/S."""
-    scorer = ns.QuotientScorer(spec, F)
-    for rank, basis in _enumerate_submodules(F):
-        S = st.Submodule(F, basis)
+def _scored_submodules(scorer: ns.QuotientScorer):
+    """Yield (rank, sigma, S) for every closed submodule S of the scorer's
+    F, sigma the noise size of F/S."""
+    for rank, basis in _enumerate_submodules(scorer.F):
+        S = st.Submodule(scorer.F, basis)
         yield rank, ns.quotient_size(scorer, S), S
+
+
+def _least_rank_by_level(scorer: ns.QuotientScorer):
+    """{size: least rank} over the closed submodules S of the scorer's F
+    with F/S of finite size, for a spec whose levels all have quiet corners
+    (`scorer.corners`). Along `order`, as in `_enumerate_submodules`, both
+    rank(S) and the index of F/S's size (the largest first passing level
+    over the points) grow point by point, and the choices at later points
+    read S only on the frontier: the points fixed so far that precede a
+    later one. Partial submodules that agree there and have the same
+    largest first level k so far have the same futures, so one state
+    (frontier bases, k) keeps their least rank; the work is the states, at
+    most as many as the closed submodules. A first pass over the same
+    layers, with k left out, counts how many partial submodules each state
+    stands for, so the closed submodules are capped exactly as the walk
+    caps them and before any level is read."""
+    F, levels = scorer.F, scorer.levels
+    order = st.order(F.points())
+    at = {v: i for i, v in enumerate(order)}
+    # each point is read up to its last successor, or only at itself
+    until = {u: max([at[u]] + [at[add(u, unit(i, F.r))]
+                               for i in range(F.r) if u[i] < F.box])
+             for u in order}
+    plan, frontier = [], []
+    for i, v in enumerate(order):
+        frontier = [u for u in frontier + [v] if until[u] > i]
+        plan.append((v, st.predecessors(v), [u for u in frontier if u != v],
+                     until[v] > i))
+    pushed_memo = {}
+
+    layer = {(): [1, {}]}   # frontier bases -> [partial submodules, bases]
+    for v, preds, kept, stays in plan:
+        images = _images_at(F, v, layer.values(), pushed_memo)
+        nxt = {}
+        for (count, assign), pushed in zip(layer.values(), images):
+            base = {u: assign[u] for u in kept}
+            held = tuple(b.data for b in base.values())
+            if not stays:   # S(v) is read no more: its choices merge
+                count *= _subspace_count(F.p, F.dims[v] - pushed.cols)
+            for s in _superspaces(pushed) if stays else (None,):
+                key = held + (s.data,) if stays else held
+                hit = nxt.get(key)
+                if hit is None:
+                    nxt[key] = [count, {**base, v: s} if stays else base]
+                else:
+                    hit[0] += count
+        layer = nxt
+
+    layer = {((), 0): (0, {})}  # (frontier bases, k) -> (least rank, bases)
+    for v, preds, kept, stays in plan:
+        dim, nxt = F.dims[v], {}
+        for (_, k), (rank, assign) in layer.items():
+            pushed = _pushed(F, v, preds, assign, pushed_memo)
+            base = {u: assign[u] for u in kept}
+            held = tuple(b.data for b in base.values())
+            rank -= pushed.cols
+            for s in _superspaces(pushed):
+                j = k if s.cols == dim else max(k, scorer.first_level(v, s))
+                if j == len(levels):
+                    continue    # F/S is of infinite size, whatever follows
+                key = (held + (s.data,) if stays else held, j)
+                hit = nxt.get(key)
+                if hit is None or rank + s.cols < hit[0]:
+                    nxt[key] = (rank + s.cols, {**base, v: s} if stays
+                                else base)
+        layer = nxt
+    return {levels[k]: rank for (_, k), (rank, _) in layer.items()}
 
 
 # -- F_p-combinations -------------------------------------------------------
@@ -457,15 +537,20 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
         -> BarFunction:
     _check_cone(spec, F)
     t_values = sorted({Fraction(t) for t in t_values})
-    full_rank = st.rank(F)
     if engine == "exhaustive":
-        # the smallest rank at each size; S = F has size 0 and full rank,
-        # so a running minimum over the sorted finite sizes is bar(F)
-        least = {}
-        for rk, sg, _ in _scored_submodules(spec, F):
-            if rk < least.get(sg, rk + 1):
-                least[sg] = rk
-        least.pop(INFINITE, None)
+        # the smallest rank at each finite size; only S = F has size
+        # levels[0] = 0, so its rank is F's, and a running minimum over the
+        # sorted sizes is bar(F)
+        scorer = ns.QuotientScorer(spec, F)
+        if scorer.corners is not None:
+            least = _least_rank_by_level(scorer)
+        else:
+            least = {}
+            for rk, sg, _ in _scored_submodules(scorer):
+                if rk < least.get(sg, rk + 1):
+                    least[sg] = rk
+            least.pop(INFINITE, None)
+        full_rank = least[scorer.levels[0]]
         bps = [(Fraction(0), full_rank, False)]
         best = full_rank
         for c in sorted(least):
@@ -476,7 +561,7 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
         flags = tuple((t, True) for t in t_values)
         return BarFunction(fcf, flags, "exhaustive")
     if engine == "orbit":
-        samples, flags = [(Fraction(0), full_rank)], []
+        samples, flags = [(Fraction(0), st.rank(F))], []
         for t in t_values:
             if t <= 0:
                 flags.append((t, True))
@@ -501,8 +586,8 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
     _check_cone(spec, F)
     t = Fraction(t)
     if engine == "exhaustive":
-        hits = ((rk, S) for rk, sg, S in _scored_submodules(spec, F)
-                if sg < t)
+        hits = ((rk, S) for rk, sg, S
+                in _scored_submodules(ns.QuotientScorer(spec, F)) if sg < t)
         rk, S = min(hits, key=lambda hit: hit[0],
                     default=(st.rank(F), st.full_submodule(F)))
         return rk, S, True

@@ -614,6 +614,7 @@ def test_work_cap_counts_closed_submodules(monkeypatch):
 
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
     monkeypatch.setattr(ns, "quotient_size", refuse)
+    monkeypatch.setattr(ns.QuotientScorer, "first_level", refuse)
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"at least {n} closed submodules.* {n - 1}$"):
         bar_search(DIAG2, F, [Q(1)])
@@ -771,7 +772,8 @@ def _bar_by_pairs(spec, F):
     """bar_search's breakpoints as the smallest rank over every scored
     submodule of size at most each finite size."""
     full_rank = st.rank(F)
-    pairs = [(rk, sg) for rk, sg, _ in fc._scored_submodules(spec, F)
+    pairs = [(rk, sg) for rk, sg, _ in fc._scored_submodules(
+                 ns.QuotientScorer(spec, F))
              if sg != INFINITE]
     bps = [(Q(0), full_rank, False)]
     for c in sorted({sg for _, sg in pairs}):
@@ -826,6 +828,118 @@ def test_walk_memo_matches_unmemoised_walk(monkeypatch):
             messages.append(str(e.value))
         assert messages[0] == messages[1]
         monkeypatch.undo()
+
+
+# -- the frontier DP against the walk --------------------------------------
+
+
+CORNER_SPECS = {1: ("cone:1", "cone:2", "vnorm:1"),
+                2: ("cone:1,1", "cone:1,0", "cone:1,2", "vnorm:1,0;0,1",
+                    "cone:1,2;2,1")}
+
+
+def _least_rank_by_walk(scorer):
+    """The oracle of `fc._least_rank_by_level`: the least rank at each
+    finite size over every closed submodule the walk scores."""
+    least = {}
+    for rk, sg, _ in fc._scored_submodules(scorer):
+        if sg != INFINITE and rk < least.get(sg, rk + 1):
+            least[sg] = rk
+    return least
+
+
+def _least_or_refusal(search, spec, F):
+    try:
+        return search(ns.QuotientScorer(spec, F))
+    except SearchSpaceTooLarge as e:
+        return str(e)
+
+
+def test_least_rank_by_level_matches_the_walk(monkeypatch):
+    rng = random.Random(39)
+    modules = [random_line_module(rng, box=rng.randrange(1, 7), p=p,
+                                  maxdim=3, total_cap=7 if p == 2 else 5)
+               for p in (2, 3) for _ in range(8)]
+    modules += [random_sum_module(rng, r=2, box=rng.randrange(1, 3), p=p,
+                                  summands=rng.randrange(1, 4))
+                for p in (2, 3) for _ in range(4)]
+    modules += [random_sum_module(rng, r=2, box=3, p=2, summands=2)
+                for _ in range(2)]
+    sizes, refused = set(), 0
+    for F in modules:
+        n = sum(1 for _ in fc._enumerate_submodules(F))
+        for spec in map(ns.parse_noise_spec, CORNER_SPECS[F.r]):
+            assert ns.QuotientScorer(spec, F).corners is not None, spec
+            want = _least_or_refusal(_least_rank_by_walk, spec, F)
+            got = _least_or_refusal(fc._least_rank_by_level, spec, F)
+            assert got == want, (spec, F.dims)
+            # only S = F has size 0
+            assert got[Q(0)] == st.rank(F)
+            sizes.update(got)
+            # one closed submodule over the cap: refused alike, and before
+            # any point's first level is read
+            monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
+            want = _least_or_refusal(_least_rank_by_walk, spec, F)
+            scorer = ns.QuotientScorer(spec, F)
+            with pytest.raises(SearchSpaceTooLarge) as e:
+                fc._least_rank_by_level(scorer)
+            assert str(e.value) == want, (spec, F.dims)
+            assert not scorer._first
+            refused += 1
+            monkeypatch.undo()
+    assert {Q(0), Q(1), Q(2), Q(3)} <= sizes and refused > 50
+
+
+def test_least_rank_by_level_refuses_what_the_walk_refuses(monkeypatch):
+    # a lower cap that a layer's count passes part of the way through
+    # the walk: the running totals at the refusal may differ, the refusals
+    # may not
+    rng = random.Random(40)
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 60)
+    answers = set()
+    for _ in range(12):
+        F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
+        for spec in map(ns.parse_noise_spec, CORNER_SPECS[2]):
+            want = _least_or_refusal(_least_rank_by_walk, spec, F)
+            got = _least_or_refusal(fc._least_rank_by_level, spec, F)
+            assert type(got) is type(want), (spec, F.dims)
+            assert isinstance(got, str) or got == want, (spec, F.dims)
+            answers.add(type(got))
+    assert answers == {str, dict}
+
+
+def test_specs_without_a_corner_keep_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the frontier DP ran without quiet corners")
+
+    monkeypatch.setattr(fc, "_least_rank_by_level", refuse)
+    rng = random.Random(41)
+    for _ in range(4):
+        F = random_sum_module(rng, r=3, box=1, p=2, summands=2)
+        assert ns.QuotientScorer(NO_CORNER3, F).corners is None
+        assert bar_search(NO_CORNER3, F, [Q(1)]).fcf == \
+            _bar_by_pairs(NO_CORNER3, F)
+
+
+def test_exhaustive_bar_search_reads_the_full_rank_off_its_sizes(
+        monkeypatch):
+    # S = F is the only closed submodule of size 0, in both branches
+    rng = random.Random(42)
+    cases = [(RAY1, random_line_module(rng, box=4, p=p, maxdim=2))
+             for p in (2, 3) for _ in range(4)]
+    cases += [(DIAG2, random_sum_module(rng, r=2, box=2, p=2, summands=3))
+              for _ in range(3)]
+    cases += [(NO_CORNER3, random_sum_module(rng, r=3, box=1, p=2,
+                                             summands=2))
+              for _ in range(3)]
+    cases += [(DIAG2, ga.hook_module()), (DIAG2, ga.staircase_module())]
+    want = [_bar_by_pairs(spec, F) for spec, F in cases]
+
+    def refuse(*args):
+        raise AssertionError("the exhaustive search asked for rank(F)")
+
+    monkeypatch.setattr(st, "rank", refuse)
+    assert [bar_search(spec, F, [Q(1)]).fcf for spec, F in cases] == want
 
 
 # -- natural maps, closeness, interleavings --------------------------------
