@@ -16,6 +16,16 @@ F(u); the answer does not, because the barcode is unique.
 A bar that is still alive at the box face counts as free (the stored data
 cannot distinguish it from one that persists forever, and compact tame
 modules have stabilized there).
+
+`decompose` sweeps each module object once: it remembers the bars of the
+last `_MEMO_SIZE` modules it swept, keyed by the identity of the module,
+not by its content. A scan of `fcf.is_interleaved` over several tau asks
+for the same two modules again and reuses both barcodes, while a module
+that merely equals one swept before is swept afresh, so the work done for
+a module does not depend on which modules came earlier. The memo holds
+each module it names, so no other object can take its id; `GridModule` is
+immutable by convention, so the bars cannot go stale. The bound keeps a
+long run from holding on to the modules it has finished with.
 """
 
 from __future__ import annotations
@@ -32,10 +42,31 @@ def _born(u, d, pivots=()):
             for i in range(d) if i not in pivots]
 
 
+# enough for the two modules of an interleaving scan, with room to spare
+_MEMO_SIZE = 4
+_memo = {}  # id(F) -> (F, bars as a tuple), oldest sweep first
+
+
 def decompose(F: GridModule) -> list[Bar]:
     """Interval summands of an r=1 module, with multiplicity, sorted."""
     if F.r != 1:
         raise NotOneDimensional(f"r={F.r}")
+    # Keyed by identity, not content: over F_2 with small dims few bases
+    # exist, so a content key (dims and edge matrices) hits presentations
+    # repeated across unrelated calls, a gain of the caller's inputs rather
+    # than of this code. A barcode slot on GridModule would put a field of
+    # this module into `grid` and change the records' fields.
+    hit = _memo.get(id(F))
+    if hit is None:
+        if len(_memo) >= _MEMO_SIZE:
+            # pop, not del: two threads may evict the same oldest entry
+            _memo.pop(next(iter(_memo)), None)
+        hit = _memo[id(F)] = (F, tuple(_sweep(F)))
+    return list(hit[1])  # a fresh list: callers may change theirs
+
+
+def _sweep(F: GridModule) -> list[Bar]:
+    """The elder-rule sweep of an r=1 module, bars sorted."""
     p = F.p
     bars = []
     carried = _born(0, F.dims[(0,)])  # (birth, vector), oldest first

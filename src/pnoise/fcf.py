@@ -701,9 +701,11 @@ def is_interleaved(F: GridModule, G: GridModule, tau) -> bool:
     the isometry theorem (Lesnick, arXiv 1106.5305; Bauer-Lesnick, arXiv
     1311.3681) that is exact, since a grid module clipped at its box is
     the N-indexed module that is constant from the box on. Both r=1
-    answers are certified. For r >= 2 `_interleaved_by_hom_bases`
-    decides: its True is certified, and so is a False from its first span
-    test; a False after its walk past `ORBIT_COMBO_CAP` is not."""
+    answers are certified. `barcode.decompose` remembers the last modules
+    it swept, so a scan of one pair over several tau decomposes each
+    module once. For r >= 2 `_interleaved_by_hom_bases` decides: its True
+    is certified, and so is a False from its first span test; a False
+    after its walk past `ORBIT_COMBO_CAP` is not."""
     require_same_shape(F, G)
     tau = _lattice_shift(tau, F.r)
     if modules_equal(F, G):

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from pnoise import field as fp, structure as st
+from pnoise import barcode as bc, field as fp, structure as st
 from pnoise.barcode import bar_lengths, decompose, reconstruct
 from pnoise.errors import NotOneDimensional
 from pnoise.field import Mat
@@ -58,8 +58,12 @@ def test_bar_and_free():
 
 
 def test_requires_one_parameter():
+    # refused before the memo is read: r >= 2 modules never enter it
+    decompose(make_free((0,), 2, Q(1), 2))
+    before = dict(bc._memo)
     with pytest.raises(NotOneDimensional):
         decompose(make_free((0, 0), 1, Q(1), 2))
+    assert bc._memo == before
 
 
 def test_reconstruct_round_trip_random():
@@ -175,3 +179,61 @@ def test_sweep_edge_cases():
     for F, want in cases:
         assert decompose(F) == want, F.dims
         assert decompose_by_ranks(F) == want, F.dims
+
+
+# -- the memo: each module object is swept once ----------------------------
+
+
+def _copy(F):
+    """An equal module that is a distinct object, as are its dicts."""
+    return make_module(1, F.alpha, F.box, F.p, dict(F.dims), dict(F.edges))
+
+
+def test_memo_matches_the_sweep():
+    # each module is dropped after its check, so a later one may take its
+    # id: a memo that does not hold its modules would answer with stale bars
+    rng = random.Random(17)
+    for _ in range(200):
+        F = random_line_module(rng, box=rng.randrange(6),
+                               p=rng.choice([2, 3]),
+                               maxdim=rng.randrange(1, 4))
+        want = bc._sweep(_copy(F))
+        assert decompose(F) == want, (F.dims, F.p)
+        assert decompose(F) == want, (F.dims, F.p)
+
+
+def test_memo_hands_out_fresh_lists():
+    F = make_module(1, Q(1), 3, 2, {(0,): 1, (1,): 1, (2,): 1, (3,): 1},
+                    {((u,), 0): Mat.identity(1, 2) for u in range(3)})
+    want = [Bar((0,), None)]
+    bars = decompose(F)
+    bars.clear()
+    assert decompose(F) == want
+    decompose(F).append(Bar((1,), (2,)))
+    assert decompose(F) == want
+
+
+def test_memo_is_keyed_by_identity(monkeypatch):
+    swept, sweep = [], bc._sweep
+
+    def counted(F):
+        swept.append(F)
+        return sweep(F)
+    monkeypatch.setattr(bc, "_sweep", counted)
+    rng = random.Random(23)
+    F = random_line_module(rng, box=4, p=2)
+    G = _copy(F)
+    assert F == G and F is not G
+    assert decompose(F) == decompose(G) == decompose(F) == decompose(G)
+    assert len(swept) == 2 and swept[0] is F and swept[1] is G
+
+
+def test_memo_stays_bounded():
+    rng = random.Random(29)
+    kept = [random_line_module(rng, box=3, p=3)
+            for _ in range(bc._MEMO_SIZE + 3)]
+    for F in kept:
+        decompose(F)
+    assert len(bc._memo) == bc._MEMO_SIZE
+    assert [id(H) for H, _ in bc._memo.values()] == \
+        [id(F) for F in kept[-bc._MEMO_SIZE:]]

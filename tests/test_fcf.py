@@ -1299,6 +1299,63 @@ def test_is_interleaved_matches_phi_systems_r2():
     assert True in answers and False in answers
 
 
+def test_interleaving_scan_sweeps_each_module_once(monkeypatch):
+    # a scan over tau 0, 1, 2 sweeps F and G once each and answers as fresh
+    # sweeps do; each pair is dropped after its scan, so later modules may
+    # take the ids of earlier ones
+    rng = random.Random(43)
+    swept, sweep = [], bc._sweep
+
+    def counted(H):
+        swept.append(H)
+        return sweep(H)
+    monkeypatch.setattr(bc, "_sweep", counted)
+    answers = set()
+    for F, G, _ in _interleave_pairs_r1(rng, 80):
+        if grid.modules_equal(F, G):
+            continue
+        swept.clear()
+        got = [is_interleaved(F, G, (t,)) for t in range(3)]
+        assert len(swept) == 2 and swept[0] is F and swept[1] is G, \
+            (F.dims, G.dims)
+        fs, gs = sweep(F), sweep(G)
+        assert got == [fc._barcodes_match(fs, gs, t) for t in range(3)], \
+            (F.dims, G.dims)
+        answers.update(got)
+    assert answers == {True, False}
+
+
+def _snapshot(F):
+    return (F.r, F.alpha, F.box, F.p, dict(F.dims),
+            {k: (e.rows, e.cols, e.data) for k, e in F.edges.items()})
+
+
+def test_readers_leave_their_modules_unchanged():
+    # the barcode memo, and the searches' memos keyed by bases, rely on
+    # GridModule being immutable by convention
+    rng = random.Random(47)
+    line = [tuple(random_line_module(rng, box=3, p=p, maxdim=2)
+                  for _ in range(2)) for p in (2, 2, 3, 3)]
+    plane = [tuple(random_sum_module(rng, r=2, box=2, p=2, summands=2)
+                   for _ in range(2)) for _ in range(2)] + \
+        [(hook_module(), hook_module())]
+    modules = [F for pair in line + plane for F in pair]
+    before = [_snapshot(F) for F in modules]
+    for F, G in line:
+        bc.decompose(F)
+        bar_r1(RAY1, F)
+        for t in range(3):
+            is_interleaved(F, G, (t,))
+        bar_search(RAY1, F, [0, 1, 2], engine="exhaustive")
+        direct_sum(F, G)
+    for F, G in plane:
+        for tau in ((0, 0), (1, 0), (1, 1)):
+            is_interleaved(F, G, tau)
+        bar_search(DIAG2, F, [0, 1, 2], engine="exhaustive")
+        direct_sum(F, G)
+    assert [_snapshot(F) for F in modules] == before
+
+
 def _count_solvable(monkeypatch):
     calls = []
     solvable = fp.solvable
