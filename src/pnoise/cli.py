@@ -142,11 +142,11 @@ def cmd_fcf(args):
     F = _load_module(args.module)
     spec = _parse_spec(args.noise)
     ts = _parse_t_list(args.t) if args.t else []
-    if args.engine == "exact" and F.r == 1 and \
-            isinstance(spec, ns.ConeNoise) and len(spec.generators) == 1:
-        res = fc.bar_r1(spec, F)
-        flags = [(t, True) for t in ts]
-        fcf = res
+    if args.engine == "exact" and F.r == 1:
+        # the closed form refuses what the exhaustive search refuses, and
+        # answers with its step function at its sample points
+        fcf = fc.bar_r1(spec, F)
+        flags = [(t, True) for t in sorted(set(ts))]
     else:
         engine = "exhaustive" if args.engine == "exact" else "orbit"
         out = fc.bar_search(spec, F, ts, engine=engine)

@@ -3,21 +3,20 @@ equivalence budgets of natural maps, and the minimal-rank invariant bar(F).
 
 bar(F)_t asks for the smallest rank among subfunctors whose inclusion
 cokernel is quieter than t. Two engines answer it: an exhaustive search
-over all closed submodules (exact, capped by their number), and a
+over the closed submodules (exact, capped by their number), and a
 generator-orbit search over spans of shifted minimal generators (upper
 bound). Every search, here and in denoising, builds one
-`noise.QuotientScorer` per (spec, F) and sizes each candidate S with
-`noise.quotient_size`, which reads the noise size of F/S off S's bases
-without building F/S: when every level has a quiet corner, as the largest
-first passing level over the points w, each memoised on S(w); otherwise by
-walking the levels with the kill rule (every x in F(v) is carried into
-S(v+m) by a quiet offset m). With quiet corners, the exhaustive bar search
-scores no submodule one by one: rank(S) and that largest first level both
-grow point by point along the walk, so a dynamic program keeps one least
-rank per (bases on the frontier, level so far) (`_least_rank_by_level`),
-and its work is its states, at most as many as the closed submodules.
-Without them, and for a witness S, the walk lists every closed submodule,
-counting rank(S) as it descends; the other searches take it from
+`noise.QuotientScorer` per (spec, F) and sizes F/S from S's bases with no
+quotient built: a point's first passing level, found from the level so
+far (`QuotientScorer.level`), reads S at that point alone when every level
+has a quiet corner, and at the ends of its kill paths otherwise. The
+exhaustive search scores no submodule one by one: rank(S) and the largest
+first level both grow point by point along the grid, so a dynamic program
+keeps one least rank per (bases on the frontier, level so far), together
+with the choices that reach it first in enumeration order
+(`_least_rank_by_level`). Its work is its states, at most as many as the
+closed submodules, and those choices rebuild the minimal-rank witness
+(`_submodule_at`). The orbit search takes ranks from
 `structure.submodule_rank`. The one-parameter case has a closed form
 through the barcode. Budgets of maps size ker phi as K/0 in the source's
 scorer and coker phi as target/im phi in the target's, building no module,
@@ -41,8 +40,7 @@ from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
 from .noise import INFINITE
 
 # closed submodules an exhaustive search covers, counted before any is
-# sized; the walk scores each one, the frontier DP has at most that many
-# states
+# sized; the frontier DP has at most that many states
 EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
@@ -325,69 +323,47 @@ def _images_at(F: GridModule, v, layer, pushed_memo):
     return out
 
 
-def _enumerate_submodules(F: GridModule):
-    """Yield (rank, basis) for every closed submodule, basis a dict point ->
-    canonical basis, once they are known to number at most
-    EXHAUSTIVE_WORK_CAP. S is fixed point by point along `order`, one layer
-    of partial choices per point; at v the choices are the subspaces that
-    contain the images of S's predecessors, and the rank gains dim S(v)
-    minus their dimension. The choices at the last point are counted
-    before the first submodule is yielded. Each image is reduced once per
-    walk."""
-    *head, last = st.order(F.points())
-    pushed_memo = {}
-
-    def extend(v, layer):
-        images = _images_at(F, v, [(1, assign) for _, assign in layer],
-                            pushed_memo)
-        return [(rank + s.cols - pushed.cols, {**assign, v: s})
-                for (rank, assign), pushed in zip(layer, images)
-                for s in _superspaces(pushed)]
-
-    layer = [(0, {})]
-    for v in head:
-        layer = extend(v, layer)
-    yield from extend(last, layer)
-
-
-def _scored_submodules(scorer: ns.QuotientScorer):
-    """Yield (rank, sigma, S) for every closed submodule S of the scorer's
-    F, sigma the noise size of F/S."""
-    for rank, basis in _enumerate_submodules(scorer.F):
-        S = st.Submodule(scorer.F, basis)
-        yield rank, ns.quotient_size(scorer, S), S
-
-
 def _least_rank_by_level(scorer: ns.QuotientScorer):
-    """{size: least rank} over the closed submodules S of the scorer's F
-    with F/S of finite size, for a spec whose levels all have quiet corners
-    (`scorer.corners`). Along `order`, as in `_enumerate_submodules`, both
-    rank(S) and the index of F/S's size (the largest first passing level
-    over the points) grow point by point, and the choices at later points
-    read S only on the frontier: the points fixed so far that precede a
-    later one. Partial submodules that agree there and have the same
-    largest first level k so far have the same futures, so one state
-    (frontier bases, k) keeps their least rank; the work is the states, at
-    most as many as the closed submodules. A first pass over the same
-    layers, with k left out, counts how many partial submodules each state
-    stands for, so the closed submodules are capped exactly as the walk
-    caps them and before any level is read."""
+    """{size: (least rank, choices)} over the closed submodules S of the
+    scorer's F with F/S of finite size; choices[i] is S's index in
+    `_superspaces` at the i-th point of `order`, the first S in that
+    enumeration among those of least rank (`_submodule_at` rebuilds it).
+
+    S is fixed point by point along `order`: at v the choices are the
+    subspaces that contain the images of S's predecessors, and the rank
+    gains dim S(v) minus their dimension. A point's first passing level
+    (`QuotientScorer.level`) is read once every basis it reads is fixed,
+    from the largest level k so far, so both the rank and k grow point by
+    point. The choices at later points read S only on the frontier: the
+    points fixed so far that a later point succeeds or reads. Partial
+    submodules that agree there and have the same k have the same
+    futures, so one state (frontier bases, k) keeps their least (rank,
+    choices); the work is the states, at most as many as the closed
+    submodules. A first pass over the same layers, with k left out, counts
+    how many partial submodules each state stands for, so the closed
+    submodules are capped exactly, and before any level is read."""
     F, levels = scorer.F, scorer.levels
     order = st.order(F.points())
     at = {v: i for i, v in enumerate(order)}
-    # each point is read up to its last successor, or only at itself
+    # a point's level is read once every basis it reads is fixed; each
+    # point is kept up to its last successor and its last reader
+    reads = {v: scorer.reads(v) for v in scorer.points}
+    when = {v: max(at[u] for u in us) for v, us in reads.items()}
     until = {u: max([at[u]] + [at[add(u, unit(i, F.r))]
                                for i in range(F.r) if u[i] < F.box])
              for u in order}
+    for v, us in reads.items():
+        for u in us:
+            until[u] = max(until[u], when[v])
     plan, frontier = [], []
     for i, v in enumerate(order):
         frontier = [u for u in frontier + [v] if until[u] > i]
         plan.append((v, st.predecessors(v), [u for u in frontier if u != v],
-                     until[v] > i))
+                     until[v] > i, [u for u in scorer.points if when[u] == i]))
     pushed_memo = {}
 
     layer = {(): [1, {}]}   # frontier bases -> [partial submodules, bases]
-    for v, preds, kept, stays in plan:
+    for v, preds, kept, stays, _ in plan:
         images = _images_at(F, v, layer.values(), pushed_memo)
         nxt = {}
         for (count, assign), pushed in zip(layer.values(), images):
@@ -404,25 +380,42 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
                     hit[0] += count
         layer = nxt
 
-    layer = {((), 0): (0, {})}  # (frontier bases, k) -> (least rank, bases)
-    for v, preds, kept, stays in plan:
-        dim, nxt = F.dims[v], {}
-        for (_, k), (rank, assign) in layer.items():
+    # (frontier bases, k) -> (least rank, its first choices, bases)
+    layer = {((), 0): (0, (), {})}
+    for v, preds, kept, stays, due in plan:
+        nxt = {}
+        for (_, k), (rank, choices, assign) in layer.items():
             pushed = _pushed(F, v, preds, assign, pushed_memo)
             base = {u: assign[u] for u in kept}
             held = tuple(b.data for b in base.values())
             rank -= pushed.cols
-            for s in _superspaces(pushed):
-                j = k if s.cols == dim else max(k, scorer.first_level(v, s))
-                if j == len(levels):
-                    continue    # F/S is of infinite size, whatever follows
-                key = (held + (s.data,) if stays else held, j)
-                hit = nxt.get(key)
-                if hit is None or rank + s.cols < hit[0]:
-                    nxt[key] = (rank + s.cols, {**base, v: s} if stays
-                                else base)
+            fixed = dict(assign)
+            for c, s in enumerate(_superspaces(pushed)):
+                fixed[v], j = s, k
+                for u in due:
+                    j = scorer.level(u, fixed, j)
+                    if j == len(levels):
+                        break   # F/S is of infinite size, whatever follows
+                else:
+                    key = (held + (s.data,) if stays else held, j)
+                    hit = nxt.get(key)
+                    if hit is None or (rank + s.cols, choices + (c,)) < \
+                            hit[:2]:
+                        nxt[key] = (rank + s.cols, choices + (c,),
+                                    {**base, v: s} if stays else base)
         layer = nxt
-    return {levels[k]: rank for (_, k), (rank, _) in layer.items()}
+    return {levels[k]: (rank, choices)
+            for (_, k), (rank, choices, _) in layer.items()}
+
+
+def _submodule_at(F: GridModule, choices):
+    """The closed submodule whose basis at the i-th point of `order` is the
+    choices[i]-th superspace of the images of its predecessors."""
+    basis = {}
+    for v, c in zip(st.order(F.points()), choices):
+        basis[v] = _superspaces(fp.column_reduce(
+            st.predecessor_images(F, v, basis)))[c]
+    return st.Submodule(F, basis)
 
 
 # -- F_p-combinations -------------------------------------------------------
@@ -542,14 +535,8 @@ def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
         # levels[0] = 0, so its rank is F's, and a running minimum over the
         # sorted sizes is bar(F)
         scorer = ns.QuotientScorer(spec, F)
-        if scorer.corners is not None:
-            least = _least_rank_by_level(scorer)
-        else:
-            least = {}
-            for rk, sg, _ in _scored_submodules(scorer):
-                if rk < least.get(sg, rk + 1):
-                    least[sg] = rk
-            least.pop(INFINITE, None)
+        least = {size: rank for size, (rank, _)
+                 in _least_rank_by_level(scorer).items()}
         full_rank = least[scorer.levels[0]]
         bps = [(Fraction(0), full_rank, False)]
         best = full_rank
@@ -586,11 +573,12 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
     _check_cone(spec, F)
     t = Fraction(t)
     if engine == "exhaustive":
-        hits = ((rk, S) for rk, sg, S
-                in _scored_submodules(ns.QuotientScorer(spec, F)) if sg < t)
-        rk, S = min(hits, key=lambda hit: hit[0],
-                    default=(st.rank(F), st.full_submodule(F)))
-        return rk, S, True
+        hits = [hit for size, hit in _least_rank_by_level(
+            ns.QuotientScorer(spec, F)).items() if size < t]
+        if not hits:
+            return st.rank(F), st.full_submodule(F), True
+        rk, choices = min(hits)
+        return rk, _submodule_at(F, choices), True
     if engine == "orbit":
         val, S = _orbit_value(spec, F, t)
         if S is None:

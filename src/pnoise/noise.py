@@ -29,9 +29,14 @@ v*_i = w_i - c_k,i off the box face, v*_i = w_i on it, and no point lands
 on w (the test passes) when some v*_i < 0. Proof: every v landing on w is
 <= v*, so F(v <= w) factors through F(v* <= w); the corners are nested, so
 the test at w is monotone in k; S is closed, so points with S(v) = F(v)
-pass anyway. Sizing F/S is then one memoised first passing level per
-(w, S(w)). Specs with a level that has no quiet corner, and K/0 kernel
-sizing, keep the ascending walk of the levels across the points.
+pass anyway.
+
+Every cone-shaped size is one rule, `QuotientScorer.level`: the first
+level >= k at which a point passes. The test is monotone in the level, so
+F/S's size is the level reached by one pass over the points, each starting
+from the level before. With quiet corners a point's first level is one
+memoised lookup per (w, S(w)); otherwise, and for K/0, the levels are
+walked from k with the kill test.
 """
 
 from __future__ import annotations
@@ -398,7 +403,8 @@ def contains(spec, F: GridModule, eps) -> bool:
     if isinstance(spec, (ConeNoise, VNormNoise)):
         maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
                                                    eps)
-        offsets, zero = (corner,) if corner_ok else maximal, zero_submodule(F)
+        offsets = (corner,) if corner_ok else maximal
+        zero = zero_submodule(F).basis
         return all(_point_test(F, zero, v, corner_ok,
                                [_path(F, v, m) for m in offsets])
                    for v in F.points() if F.dims[v])
@@ -422,15 +428,16 @@ class QuotientScorer:
     cone-shaped spec the kill data (`_kill_offsets`) of each level and
     lazily filled tables of the maps F(v <= w) and of the answers found.
 
-    When every level k has a quiet corner c_k, `corners` lists them and
-    F/S is sized point by point: F/S is within level k iff colspan
-    F(v* <= w) lies in S(w) at every w, v* = v*_k(w) the largest point
-    whose corner shift clips to w (see the module docstring for the proof).
-    The first passing level at w reads nothing of S but S(w), and every
-    `Submodule` basis is canonical, so it is stored under (w, S(w).data).
-    Otherwise `corners` is None and a point test's verdict, a pure function
-    of v, the level and the bases of S it reads, is stored under (v, k, the
-    data of those bases); kernels K are always sized that way."""
+    Each point's first passing level is `level`, and `reads` names the
+    points whose bases it reads. When every level k has a quiet corner c_k,
+    `corners` lists them: F/S is within level k iff colspan F(v* <= w) lies
+    in S(w) at every w, v* = v*_k(w) the largest point whose corner shift
+    clips to w (see the module docstring for the proof). The first passing
+    level at w reads nothing of S but S(w), and every `Submodule` basis is
+    canonical, so it is stored under (w, S(w).data). Otherwise `corners` is
+    None and a point test's verdict, a pure function of v, the level and
+    the bases of S it reads, is stored under (v, k, the data of those
+    bases); kernels K are always sized that way."""
 
     def __init__(self, spec, F: GridModule):
         self.spec, self.F = spec, F
@@ -483,20 +490,39 @@ class QuotientScorer:
             self._sources[w] = out
         return out
 
-    def first_level(self, w, B: Mat):
-        """The index of the first level at which w passes for S(w) = B, a
-        canonical basis of a proper subspace of F(w); len(levels) if none
-        does. Memoised on (w, B.data)."""
-        key = (w, B.data)
-        hit = self._first.get(key)
-        if hit is None:
-            hit = len(self.levels)
-            for k, v in self.sources(w):
-                if v is None or fp.span_contains(B, self.map(v, w)):
-                    hit = k
-                    break
-            self._first[key] = hit
-        return hit
+    def reads(self, v):
+        """The points whose bases `level` reads at v: v alone with quiet
+        corners, else v and the ends of every level's kill paths."""
+        if self.corners is not None:
+            return (v,)
+        ends = [clip(add(v, m), self.F.box) for maximal, corner, ok
+                in self.kills for m in ((corner,) if ok else maximal)]
+        return tuple(dict.fromkeys([v] + ends))
+
+    def level(self, v, bases, k, K=None):
+        """The index of the first level >= k at which the point v of F/S
+        passes, S's canonical bases in `bases` (of K/0, K's bases given);
+        len(levels) if none does. A point with S(v) = F(v) passes at k. With
+        quiet corners, and no K, the first passing level reads only S(v) and
+        is memoised on (v, S(v).data); otherwise the levels are walked from
+        k (`_point_within`)."""
+        B = bases[v]
+        if B.cols == self.F.dims[v]:
+            return k
+        if K is None and self.corners is not None:
+            key = (v, B.data)
+            hit = self._first.get(key)
+            if hit is None:
+                hit = len(self.levels)
+                for j, u in self.sources(v):
+                    if u is None or fp.span_contains(B, self.map(u, v)):
+                        hit = j
+                        break
+                self._first[key] = hit
+            return max(k, hit)
+        while k < len(self.levels) and not _point_within(self, bases, v, k, K):
+            k += 1
+        return k
 
 
 def _path(F: GridModule, v, m):
@@ -505,37 +531,39 @@ def _path(F: GridModule, v, m):
     return w, evaluate_map(F, v, w)
 
 
-def _point_within(scorer: QuotientScorer, S: Submodule, v, k, K=None):
-    """Is the point v of F/S (of K/0, given K) within level levels[k]? The
-    test reads S(w) at a quiet corner w, else S(v) and each S(w_m), and K(v)
-    if given; its verdict is memoised in the scorer on those bases."""
+def _point_within(scorer: QuotientScorer, bases, v, k, K=None):
+    """Is the point v of F/S (of K/0, given K's bases) within level
+    levels[k], S's bases in `bases`? The test reads S(w) at a quiet corner
+    w, else S(v) and each S(w_m), and K(v) if given; its verdict is
+    memoised in the scorer on those bases."""
     maximal, corner, corner_ok = scorer.kills[k]
     paths = [scorer.path(v, m) for m in ((corner,) if corner_ok else maximal)]
     reads = ([] if corner_ok else [v]) + [w for w, _ in paths]
-    key = (v, k, tuple(S.basis[u].data for u in reads))
+    key = (v, k, tuple(bases[u].data for u in reads))
     if K is not None:
-        key += (K.basis[v].data,)
+        key += (K[v].data,)
     hit = scorer._verdicts.get(key)
     if hit is None:
         if K is not None:   # the elements of K/0 at v are K(v)'s coordinates
-            paths = [(w, A @ K.basis[v]) for w, A in paths]
-        hit = scorer._verdicts[key] = _point_test(scorer.F, S, v, corner_ok,
-                                                 paths)
+            paths = [(w, A @ K[v]) for w, A in paths]
+        hit = scorer._verdicts[key] = _point_test(scorer.F, bases, v,
+                                                 corner_ok, paths)
     return hit
 
 
-def _point_test(F: GridModule, S: Submodule, v, corner_ok, paths):
-    """The kill test of the point v of F/S along the given paths, the quiet
-    corner's or each maximal offset's, on the coordinates of their columns."""
+def _point_test(F: GridModule, bases, v, corner_ok, paths):
+    """The kill test of the point v of F/S, S's bases in `bases`, along the
+    given paths, the quiet corner's or each maximal offset's, on the
+    coordinates of their columns."""
     if corner_ok:
         (w, A), = paths
-        return fp.span_contains(S.basis[w], A)
-    pivots = fp.pivot_rows(S.basis[v])   # F-coordinates: none when S = 0
+        return fp.span_contains(bases[w], A)
+    pivots = fp.pivot_rows(bases[v])    # F-coordinates: none when S = 0
     free = [i for i in range(paths[0][1].cols) if i not in pivots]
     classes = _elements(len(free), F.p)
     residues = []
     for w, A in paths:
-        R = fp.residue(S.basis[w], A)
+        R = fp.residue(bases[w], A)
         residues.append(Mat(F.p, R.rows, len(free), tuple(
             tuple(row[i] for i in free) for row in R.data)))
     return all(any(not any(R.apply(x)) for R in residues)
@@ -550,36 +578,18 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     the first level those dimensions pass. An intersection takes its
     largest part size, as each part's levels grow with eps.
 
-    When every level has a quiet corner (`scorer.corners`), F/S is within
-    level k iff colspan F(v*_k(w) <= w) lies in S(w) at every w, so the
-    size is levels[max over w of the first passing level at w], each one
-    memoised on (w, S(w).data); a point with S(w) = F(w) passes at level
-    0. The three-line proof is in the module docstring.
-
-    Otherwise a cone-shaped spec's levels are walked: a point v of F/S
-    lies within level eps when every x in F(v) is carried into S(w), w =
-    v+m clipped, by an offset m of cost at most eps. Where those offsets
-    have a quiet corner that is one test, F(v <= w) lands in S(w);
-    otherwise the kill test runs on one representative per nonzero class
-    of F(v)/S(v), the vectors supported on the non-pivot rows of S(v)'s
-    basis, so ELEMENT_CAP sees the dimension of the quotient (or of K(v)).
-    The test is monotone in eps, so the size is found by one ascending walk
-    of the levels across the points; every K is sized so."""
+    A cone-shaped spec's point v of F/S lies within level eps when every x
+    in F(v) is carried into S(w), w = v+m clipped, by an offset m of cost
+    at most eps. The test is monotone in eps, so one ascending pass over
+    the points finds the size: each point's first passing level from the
+    level so far (`QuotientScorer.level`). With quiet corners that level is
+    memoised on (v, S(v).data); otherwise the kill test runs on one
+    representative per nonzero class of F(v)/S(v), the vectors supported
+    on the non-pivot rows of S(v)'s basis, so ELEMENT_CAP sees the
+    dimension of the quotient (or of K(v))."""
     F, levels = scorer.F, scorer.levels
     if K is not None and any(S.basis[v].cols for v in F.points()):
         raise ValueError("a submodule K is sized only over S = 0")
-    k = 0
-    if K is None and scorer.corners is not None:
-        for w in scorer.points:
-            B = S.basis[w]
-            if B.cols == F.dims[w]:
-                continue
-            first = scorer.first_level(w, B)
-            if first > k:
-                if first == len(levels):
-                    return INFINITE
-                k = first
-        return levels[k]
     if scorer.kills is None:    # not cone-shaped
         if scorer.parts is not None:
             return max(quotient_size(part, S, K) for part in scorer.parts)
@@ -587,13 +597,11 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
                 else K.basis[v].cols for v in F.points()}
         return next((eps for eps in levels
                      if _dims_within(scorer.spec, F, dims, eps)), INFINITE)
-    for v in F.points():
-        if S.basis[v].cols == F.dims[v]:
-            continue
-        while not _point_within(scorer, S, v, k, K):
-            k += 1
-            if k == len(levels):
-                return INFINITE
+    k = 0
+    for v in scorer.points:
+        k = scorer.level(v, S.basis, k, None if K is None else K.basis)
+        if k == len(levels):
+            return INFINITE
     return levels[k]   # levels[0] is 0, the cost of no shift
 
 

@@ -110,14 +110,28 @@ def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
     # total dimension 12, but 2825 subspaces at each of the two points
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
-        1, Q(1), 1, 2, {(0,): 6, (1,): 6}, {((0,), 0): Mat.identity(6, 2)})))
+        2, Q(1), 1, 2, {(0, 0): 6, (1, 1): 6})))
     t0 = time.perf_counter()
-    assert main(["fcf", str(big), "--noise", "vnorm:1", "--t", "1"]) == 4
+    assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
+                 "--t", "1"]) == 4
     assert time.perf_counter() - t0 < 1
     e = stderr_json(capsys)
     assert e["code"] == "resource"
     assert "closed submodules" in e["message"]
     assert str(EXHAUSTIVE_WORK_CAP) in e["message"]
+
+
+def test_fcf_answers_every_r1_spec_through_the_barcode(tmp_path, capsys):
+    # six free bars: the exhaustive search would count more closed
+    # submodules than its cap, the closed form answers for every r=1 spec
+    big = tmp_path / "big.mod"
+    big.write_text(write_module(make_module(
+        1, Q(1), 1, 2, {(0,): 6, (1,): 6}, {((0,), 0): Mat.identity(6, 2)})))
+    for spec in ("vnorm:1", "cone:1;2"):
+        assert main(["fcf", str(big), "--noise", spec, "--t", "1,0,1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "t,value", "0,6", "t=0 value=6 exact=true",
+            "t=1 value=6 exact=true"]
 
 
 def test_fcf_bad_noise(line_file, capsys):

@@ -26,6 +26,7 @@ from pnoise.noise import INFINITE, ConeNoise
 from conftest import random_bar, random_line_module, random_sum_module
 from module_checks import check_natural
 from noise_oracle import noise_size_by_candidates, random_specs
+from walk_oracle import enumerate_submodules, scored_submodules
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -376,7 +377,7 @@ def test_bar_r1_refuses_a_spec_that_is_not_cone_shaped():
     for _ in range(3):
         F = direct_sum(F, make_bar(Bar((0,), (2,)), 2, Q(1), 2))
     spec = ns.DimensionNoise(((Q(0), 0), (Q(1), 1)))
-    assert min(rk for rk, basis in fc._enumerate_submodules(F)
+    assert min(rk for rk, basis in enumerate_submodules(F)
                if _quotient_size(spec, F, st.Submodule(F, basis)) < 2) == 2
     with pytest.raises(UnsupportedNoise, match="cone-shaped"):
         bar_r1(spec, F)
@@ -490,7 +491,7 @@ def _check_scorer_and_walk(spec, F):
     every closed submodule of F; returns how many sizes were infinite."""
     scorer = ns.QuotientScorer(spec, F)
     infinite = 0
-    for rank, basis in fc._enumerate_submodules(F):
+    for rank, basis in enumerate_submodules(F):
         S = st.Submodule(F, basis)
         size = ns.quotient_size(scorer, S)
         assert size == _quotient_size(spec, F, S), (spec, F.dims, basis)
@@ -604,20 +605,22 @@ def test_work_cap_counts_closed_submodules(monkeypatch):
     for _ in range(4):
         F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
     assert sorted(F.dims.values()) == [0, 0, 0, 2, 2, 3, 3, 3, 3]
-    n = sum(1 for _ in fc._enumerate_submodules(F))
+    n = sum(1 for _ in enumerate_submodules(F))
     assert n == 1845
     assert bar_search(DIAG2, F, [Q(1)]).engine == "exhaustive"
 
-    # one submodule over the cap is refused before any is scored
+    # one submodule over the cap is refused before any is scored, by both
+    # exhaustive searches
     def refuse(*args):
         raise AssertionError("a submodule was scored")
 
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
     monkeypatch.setattr(ns, "quotient_size", refuse)
-    monkeypatch.setattr(ns.QuotientScorer, "first_level", refuse)
-    with pytest.raises(SearchSpaceTooLarge,
-                       match=f"at least {n} closed submodules.* {n - 1}$"):
-        bar_search(DIAG2, F, [Q(1)])
+    monkeypatch.setattr(ns.QuotientScorer, "level", refuse)
+    for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
+        with pytest.raises(SearchSpaceTooLarge,
+                           match=f"at least {n} closed submodules.* {n - 1}$"):
+            search(DIAG2, F, t)
 
 
 # -- memoised scoring and walking against the unmemoised paths -------------
@@ -772,7 +775,7 @@ def _bar_by_pairs(spec, F):
     """bar_search's breakpoints as the smallest rank over every scored
     submodule of size at most each finite size."""
     full_rank = st.rank(F)
-    pairs = [(rk, sg) for rk, sg, _ in fc._scored_submodules(
+    pairs = [(rk, sg) for rk, sg, _ in scored_submodules(
                  ns.QuotientScorer(spec, F))
              if sg != INFINITE]
     bps = [(Q(0), full_rank, False)]
@@ -816,13 +819,13 @@ def test_walk_memo_matches_unmemoised_walk(monkeypatch):
         want = [(rank, {v: s.data for v, s in basis.items()})
                 for rank, basis in _enumerate_submodules_unmemoised(F)]
         got = [(rank, {v: s.data for v, s in basis.items()})
-               for rank, basis in fc._enumerate_submodules(F)]
+               for rank, basis in enumerate_submodules(F)]
         assert got == want, F.dims
         # one closed submodule over the cap: both walks refuse alike
         monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", len(want) - 1)
         messages = []
         for walk in (_enumerate_submodules_unmemoised,
-                     fc._enumerate_submodules):
+                     enumerate_submodules):
             with pytest.raises(SearchSpaceTooLarge) as e:
                 next(walk(F))
             messages.append(str(e.value))
@@ -842,10 +845,15 @@ def _least_rank_by_walk(scorer):
     """The oracle of `fc._least_rank_by_level`: the least rank at each
     finite size over every closed submodule the walk scores."""
     least = {}
-    for rk, sg, _ in fc._scored_submodules(scorer):
+    for rk, sg, _ in scored_submodules(scorer):
         if sg != INFINITE and rk < least.get(sg, rk + 1):
             least[sg] = rk
     return least
+
+
+def _least_rank_by_dp(scorer):
+    return {size: rank for size, (rank, _)
+            in fc._least_rank_by_level(scorer).items()}
 
 
 def _least_or_refusal(search, spec, F):
@@ -867,11 +875,11 @@ def test_least_rank_by_level_matches_the_walk(monkeypatch):
                 for _ in range(2)]
     sizes, refused = set(), 0
     for F in modules:
-        n = sum(1 for _ in fc._enumerate_submodules(F))
+        n = sum(1 for _ in enumerate_submodules(F))
         for spec in map(ns.parse_noise_spec, CORNER_SPECS[F.r]):
             assert ns.QuotientScorer(spec, F).corners is not None, spec
             want = _least_or_refusal(_least_rank_by_walk, spec, F)
-            got = _least_or_refusal(fc._least_rank_by_level, spec, F)
+            got = _least_or_refusal(_least_rank_by_dp, spec, F)
             assert got == want, (spec, F.dims)
             # only S = F has size 0
             assert got[Q(0)] == st.rank(F)
@@ -901,24 +909,76 @@ def test_least_rank_by_level_refuses_what_the_walk_refuses(monkeypatch):
         F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
         for spec in map(ns.parse_noise_spec, CORNER_SPECS[2]):
             want = _least_or_refusal(_least_rank_by_walk, spec, F)
-            got = _least_or_refusal(fc._least_rank_by_level, spec, F)
+            got = _least_or_refusal(_least_rank_by_dp, spec, F)
             assert type(got) is type(want), (spec, F.dims)
             assert isinstance(got, str) or got == want, (spec, F.dims)
             answers.add(type(got))
     assert answers == {str, dict}
 
 
-def test_specs_without_a_corner_keep_the_walk(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the frontier DP ran without quiet corners")
-
-    monkeypatch.setattr(fc, "_least_rank_by_level", refuse)
+def test_specs_without_a_corner_run_the_dp(monkeypatch):
+    # a point's level is read once the ends of its kill paths are fixed
+    dp, scorers = fc._least_rank_by_level, []
+    monkeypatch.setattr(fc, "_least_rank_by_level",
+                        lambda scorer: scorers.append(scorer) or dp(scorer))
     rng = random.Random(41)
-    for _ in range(4):
+    drops = 0
+    for _ in range(6):
         F = random_sum_module(rng, r=3, box=1, p=2, summands=2)
-        assert ns.QuotientScorer(NO_CORNER3, F).corners is None
-        assert bar_search(NO_CORNER3, F, [Q(1)]).fcf == \
-            _bar_by_pairs(NO_CORNER3, F)
+        got = bar_search(NO_CORNER3, F, [Q(1)]).fcf
+        assert got == _bar_by_pairs(NO_CORNER3, F), F.dims
+        drops += len(got.breakpoints) > 1
+    assert drops > 0 and len(scorers) == 6
+    assert all(s.corners is None for s in scorers)
+    assert any(len(s.reads(v)) > 1 for s in scorers for v in s.points)
+
+
+def _walk_witnesses(spec, F, ts):
+    """The oracle of the exhaustive `minimal_rank_submodule`: at each t, the
+    least rank and the first closed submodule of that rank in walk order
+    among those whose quotient is quieter than t (S = F if none is), and
+    how many submodules tie with it."""
+    scored = list(scored_submodules(ns.QuotientScorer(spec, F)))
+    out = []
+    for t in ts:
+        hits = [(rk, S) for rk, sg, S in scored if sg < t]
+        rk, S = min(hits, key=lambda hit: hit[0],
+                    default=(st.rank(F), st.full_submodule(F)))
+        out.append((rk, S, sum(1 for r, _ in hits if r == rk)))
+    return out
+
+
+def test_minimal_rank_witness_is_the_walks_first():
+    # the DP keeps, per state, the least rank and on a tie the smaller
+    # tuple of choices: the first such S in walk order, basis by basis
+    rng = random.Random(44)
+    cases = [(spec, random_line_module(rng, box=rng.randrange(1, 6), p=p,
+                                       maxdim=2, total_cap=6 if p == 2 else 4))
+             for p in (2, 3) for _ in range(8)
+             for spec in map(ns.parse_noise_spec, CORNER_SPECS[1])]
+    cases += [(spec, random_sum_module(rng, r=2, box=2, p=p, summands=5 - p))
+              for p in (2, 3) for _ in range(3)
+              for spec in map(ns.parse_noise_spec, CORNER_SPECS[2])]
+    cases += [(NO_CORNER3, random_sum_module(rng, r=3, box=1, p=2,
+                                             summands=rng.randrange(1, 4)))
+              for _ in range(8)]
+    cases += [(spec, F) for F in (ga.hook_module(), ga.staircase_module(),
+                                  ga.plane_example_module())
+              for spec in map(ns.parse_noise_spec, CORNER_SPECS[2])]
+    ts = (Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3))
+    ties = moved = 0
+    for spec, F in cases:
+        for t, (rk, S, tied) in zip(ts, _walk_witnesses(spec, F, ts)):
+            got, T, exact = minimal_rank_submodule(spec, F, t)
+            assert exact and got == rk, (spec, F.dims, t)
+            assert {v: b.data for v, b in T.basis.items()} == \
+                {v: b.data for v, b in S.basis.items()}, (spec, F.dims, t)
+            ties += tied > 1
+            # a rebuild that reads the points out of `order` shows on grids
+            # where `order` is not the point order
+            moved += st.order(F.points()) != list(F.points()) and \
+                0 < rk < st.rank(F)
+    assert ties > 100 and moved > 20
 
 
 def test_exhaustive_bar_search_reads_the_full_rank_off_its_sizes(

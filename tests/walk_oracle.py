@@ -1,0 +1,40 @@
+"""The closed-submodule walk, the oracle of the exhaustive searches: every
+closed submodule of a module, listed one by one in the order whose first
+least-rank member `fcf.minimal_rank_submodule` returns."""
+
+from pnoise import fcf as fc
+from pnoise import noise as ns
+from pnoise import structure as st
+
+
+def enumerate_submodules(F):
+    """Yield (rank, basis) for every closed submodule, basis a dict point ->
+    canonical basis, once they are known to number at most
+    EXHAUSTIVE_WORK_CAP. S is fixed point by point along `order`, one layer
+    of partial choices per point; at v the choices are the subspaces that
+    contain the images of S's predecessors, and the rank gains dim S(v)
+    minus their dimension. The choices at the last point are counted
+    before the first submodule is yielded. Each image is reduced once per
+    walk."""
+    *head, last = st.order(F.points())
+    pushed_memo = {}
+
+    def extend(v, layer):
+        images = fc._images_at(F, v, [(1, assign) for _, assign in layer],
+                               pushed_memo)
+        return [(rank + s.cols - pushed.cols, {**assign, v: s})
+                for (rank, assign), pushed in zip(layer, images)
+                for s in fc._superspaces(pushed)]
+
+    layer = [(0, {})]
+    for v in head:
+        layer = extend(v, layer)
+    yield from extend(last, layer)
+
+
+def scored_submodules(scorer):
+    """Yield (rank, sigma, S) for every closed submodule S of the scorer's
+    F, sigma the noise size of F/S."""
+    for rank, basis in enumerate_submodules(scorer.F):
+        S = st.Submodule(scorer.F, basis)
+        yield rank, ns.quotient_size(scorer, S), S
