@@ -3,7 +3,7 @@ equivalence budgets of natural maps, and the minimal-rank invariant bar(F).
 
 bar(F)_t asks for the smallest rank among subfunctors whose inclusion
 cokernel is quieter than t. Two engines answer it: an exhaustive search
-over the closed submodules (exact, capped by their number), and a
+over the closed submodules (exact, capped by the steps it takes), and a
 generator-orbit search over spans of shifted minimal generators (upper
 bound). Every search, here and in denoising, builds one
 `noise.QuotientScorer` per (spec, F) and sizes F/S from S's bases with no
@@ -14,9 +14,10 @@ exhaustive search scores no submodule one by one: rank(S) and the largest
 first level both grow point by point along the grid, so a dynamic program
 keeps one least rank per (bases on the frontier, level so far), together
 with the choices that reach it first in enumeration order
-(`_least_rank_by_level`). Its work is its states, at most as many as the
-closed submodules, and those choices rebuild the minimal-rank witness
-(`_submodule_at`). The orbit search takes ranks from
+(`_least_rank_by_level`). Its work is its steps, one per state and
+subspace it may choose next; each state's steps are charged against
+`EXHAUSTIVE_WORK_CAP` before its subspaces are listed. The choices rebuild
+the minimal-rank witness (`_submodule_at`). The orbit search takes ranks from
 `structure.submodule_rank`. The one-parameter case has a closed form
 through the barcode. Budgets of maps size ker phi as K/0 in the source's
 scorer and coker phi as target/im phi in the target's, building no module,
@@ -33,14 +34,15 @@ from . import barcode as bc
 from . import field as fp
 from . import noise as ns
 from . import structure as st
-from .errors import NotOneDimensional, SearchSpaceTooLarge, UnsupportedNoise
+from .errors import (NotOneDimensional, ParseError, SearchSpaceTooLarge,
+                     UnsupportedNoise)
 from .field import Mat
 from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
 from .noise import INFINITE
 
-# closed submodules an exhaustive search covers, counted before any is
-# sized; the frontier DP has at most that many states
+# search steps the frontier DP may take, one per (state, subspace) pair it
+# scores; each state's steps are charged before its subspaces are listed
 EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
@@ -304,25 +306,6 @@ def _pushed(F: GridModule, v, preds, assign, memo):
     return hit
 
 
-def _images_at(F: GridModule, v, layer, pushed_memo):
-    """For each partial choice of S before v, given as (the number of
-    partial submodules it stands for, their bases at v's predecessors):
-    the image of S's predecessors in F(v) (`_pushed`). Every subspace of
-    F(v) containing it completes to at least one closed submodule, so
-    their number, summed over the layer, is capped before any is chosen."""
-    preds = st.predecessors(v)
-    out, total = [], 0
-    for count, assign in layer:
-        pushed = _pushed(F, v, preds, assign, pushed_memo)
-        total += count * _subspace_count(F.p, F.dims[v] - pushed.cols)
-        if total > EXHAUSTIVE_WORK_CAP:
-            raise SearchSpaceTooLarge(
-                f"at least {total} closed submodules, over the cap "
-                f"{EXHAUSTIVE_WORK_CAP}")
-        out.append(pushed)
-    return out
-
-
 def _least_rank_by_level(scorer: ns.QuotientScorer):
     """{size: (least rank, choices)} over the closed submodules S of the
     scorer's F with F/S of finite size; choices[i] is S's index in
@@ -338,10 +321,10 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
     points fixed so far that a later point succeeds or reads. Partial
     submodules that agree there and have the same k have the same
     futures, so one state (frontier bases, k) keeps their least (rank,
-    choices); the work is the states, at most as many as the closed
-    submodules. A first pass over the same layers, with k left out, counts
-    how many partial submodules each state stands for, so the closed
-    submodules are capped exactly, and before any level is read."""
+    choices). The work is the steps, one per state and subspace that
+    contains the state's images. Each state's steps are counted before its
+    subspaces are listed, and the search is refused once the count passes
+    `EXHAUSTIVE_WORK_CAP`."""
     F, levels = scorer.F, scorer.levels
     order = st.order(F.points())
     at = {v: i for i, v in enumerate(order)}
@@ -360,25 +343,7 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
         frontier = [u for u in frontier + [v] if until[u] > i]
         plan.append((v, st.predecessors(v), [u for u in frontier if u != v],
                      until[v] > i, [u for u in scorer.points if when[u] == i]))
-    pushed_memo = {}
-
-    layer = {(): [1, {}]}   # frontier bases -> [partial submodules, bases]
-    for v, preds, kept, stays, _ in plan:
-        images = _images_at(F, v, layer.values(), pushed_memo)
-        nxt = {}
-        for (count, assign), pushed in zip(layer.values(), images):
-            base = {u: assign[u] for u in kept}
-            held = tuple(b.data for b in base.values())
-            if not stays:   # S(v) is read no more: its choices merge
-                count *= _subspace_count(F.p, F.dims[v] - pushed.cols)
-            for s in _superspaces(pushed) if stays else (None,):
-                key = held + (s.data,) if stays else held
-                hit = nxt.get(key)
-                if hit is None:
-                    nxt[key] = [count, {**base, v: s} if stays else base]
-                else:
-                    hit[0] += count
-        layer = nxt
+    pushed_memo, steps = {}, 0
 
     # (frontier bases, k) -> (least rank, its first choices, bases)
     layer = {((), 0): (0, (), {})}
@@ -386,6 +351,13 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
         nxt = {}
         for (_, k), (rank, choices, assign) in layer.items():
             pushed = _pushed(F, v, preds, assign, pushed_memo)
+            # charged before the superspaces are listed, so that no list
+            # past the cap is ever built
+            steps += _subspace_count(F.p, F.dims[v] - pushed.cols)
+            if steps > EXHAUSTIVE_WORK_CAP:
+                raise SearchSpaceTooLarge(
+                    f"at least {steps} search steps, over the cap "
+                    f"{EXHAUSTIVE_WORK_CAP}")
             base = {u: assign[u] for u in kept}
             held = tuple(b.data for b in base.values())
             rank -= pushed.cols
@@ -825,14 +797,25 @@ def fcf_to_csv(f: FeatureCountingFunction) -> str:
 
 
 def fcf_from_csv(text: str) -> FeatureCountingFunction:
-    pairs = []
-    for k, line in enumerate(text.strip().splitlines()):
+    """The counting function of a `t,value` CSV as `fcf_to_csv` writes it,
+    its rows in any order; a ParseError names the line at fault."""
+    rows, k = [], 1     # (t, value, line number)
+    for k, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.lower().startswith("t,"):
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            from .errors import ParseError
-            raise ParseError(k + 1, f"expected t,value got {line!r}")
-        pairs.append((Fraction(parts[0]), int(parts[1])))
-    return make_fcf(pairs, drops_after=True)
+        try:
+            t, v = line.split(",")
+            rows.append((Fraction(t), int(v), k))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(k, f"expected t,value got {line!r}") from None
+    rows.sort()
+    if not rows or rows[0][0] != 0:
+        raise ParseError(rows[0][2] if rows else k, "need a row at t=0")
+    for (s, a, _), (t, b, k) in zip(rows, rows[1:]):
+        if b > a:
+            raise ParseError(k, f"a second value at t={t}" if t == s else
+                             f"value {b} at t={t} is above {a} before it")
+    if rows[-1][1] < 0:
+        raise ParseError(rows[-1][2], "values must be >= 0")
+    return make_fcf([(t, v) for t, v, _ in rows], drops_after=True)

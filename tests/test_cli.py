@@ -107,23 +107,37 @@ def test_fcf_range_over_cap_exits_at_once(line_file, capsys):
 
 
 def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
-    # total dimension 12, but 2825 subspaces at each of the two points
+    # total dimension 12, but 2825 subspaces at each of the two points, and
+    # the first one fixed stays on the frontier until (1,1): 2825 states,
+    # each with 2825 steps at the second
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
-        2, Q(1), 1, 2, {(0, 0): 6, (1, 1): 6})))
+        2, Q(1), 1, 2, {(1, 0): 6, (0, 1): 6})))
     t0 = time.perf_counter()
     assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
                  "--t", "1"]) == 4
     assert time.perf_counter() - t0 < 1
     e = stderr_json(capsys)
     assert e["code"] == "resource"
-    assert "closed submodules" in e["message"]
+    assert "search steps" in e["message"]
     assert str(EXHAUSTIVE_WORK_CAP) in e["message"]
 
 
+def test_fcf_exhaustive_answers_under_its_steps(tmp_path, capsys):
+    # 2825 subspaces at each of two points, but (0,0) leaves the frontier
+    # before (1,1) is fixed: 14,125 steps, though 2825^2 closed submodules
+    big = tmp_path / "big.mod"
+    big.write_text(write_module(make_module(
+        2, Q(1), 1, 2, {(0, 0): 6, (1, 1): 6})))
+    assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
+                 "--t", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["t,value", "0,12", "1,6"]
+
+
 def test_fcf_answers_every_r1_spec_through_the_barcode(tmp_path, capsys):
-    # six free bars: the exhaustive search would count more closed
-    # submodules than its cap, the closed form answers for every r=1 spec
+    # six free bars: the exhaustive search would take more steps than its
+    # cap, the closed form answers for every r=1 spec
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
         1, Q(1), 1, 2, {(0,): 6, (1,): 6}, {((0,), 0): Mat.identity(6, 2)})))
@@ -184,6 +198,26 @@ def test_distance_fcf_infinite(tmp_path, capsys):
     g.write_text("t,value\n0,0\n")
     assert main(["distance-fcf", str(f), str(g)]) == 0
     assert capsys.readouterr().out.strip() == "inf"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("t,value\n1,3\n", 2),         # no row at t=0
+    ("t,value\n0,1\n1,3\n", 3),    # a value that rises
+    ("t,value\n", 1),              # no rows
+    ("t,value\n0,x\n", 2),
+    ("t,value\n1/0,2\n", 2),
+])
+def test_malformed_fcf_csv_is_a_parse_error(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("t,value\n0,1\n")
+    for argv in (["distance-fcf", str(bad), str(good)],
+                 ["distance-fcf", str(good), str(bad)],
+                 ["export", str(bad), "--csv", str(tmp_path / "out.csv")]):
+        assert main(argv) == 2
+        e = stderr_json(capsys)
+        assert e["code"] == "parse" and e["location"] == f"{bad}:{line}"
 
 
 def test_denoise_quotient(line_file, tmp_path, capsys):

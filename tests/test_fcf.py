@@ -77,6 +77,8 @@ def test_fcf_csv_round_trip():
     f = make_fcf([(0, 4), (1, 2), (2, 1)], drops_after=True)
     g = fcf_from_csv(fcf_to_csv(f))
     assert g.breakpoints == f.breakpoints
+    # rows may come in any order, and a repeated row is read once
+    assert fcf_from_csv("t,value\n2,1\n0,4\n1,2\n1,2\n") == f
 
 
 # -- distance --------------------------------------------------------------
@@ -598,29 +600,64 @@ def test_superspaces_match_filtered_subspaces():
                     [s.data for s in want]
 
 
-def test_work_cap_counts_closed_submodules(monkeypatch):
-    # the points have 1,638,400 combinations of subspaces, but the edges
-    # leave 1,845 closed submodules, and all of them are searched
+def _dp_steps(monkeypatch, scorer):
+    """The search steps `fc._least_rank_by_level` takes on the scorer: the
+    lengths of the `_superspaces` tuples it is handed, summed."""
+    lists, steps = fc._superspaces, []
+
+    def counted(U):
+        out = lists(U)
+        steps.append(len(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(fc, "_superspaces", counted)
+        fc._least_rank_by_level(scorer)
+    return sum(steps)
+
+
+def test_work_cap_counts_search_steps(monkeypatch):
+    # the points have 1,638,400 combinations of subspaces, the edges leave
+    # 1,845 closed submodules, and the DP takes 1,325 steps over them
     rng = random.Random(3)
     for _ in range(4):
         F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
     assert sorted(F.dims.values()) == [0, 0, 0, 2, 2, 3, 3, 3, 3]
-    n = sum(1 for _ in enumerate_submodules(F))
-    assert n == 1845
-    assert bar_search(DIAG2, F, [Q(1)]).engine == "exhaustive"
-
-    # one submodule over the cap is refused before any is scored, by both
-    # exhaustive searches
-    def refuse(*args):
-        raise AssertionError("a submodule was scored")
-
+    assert sum(1 for _ in enumerate_submodules(F)) == 1845
+    n = _dp_steps(monkeypatch, ns.QuotientScorer(DIAG2, F))
+    assert n == 1325
+    # at the cap both exhaustive searches answer; one step over it, both
+    # refuse
+    want = bar_search(DIAG2, F, [Q(1)])
+    assert want.engine == "exhaustive"
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n)
+    assert bar_search(DIAG2, F, [Q(1)]) == want
+    minimal_rank_submodule(DIAG2, F, Q(1))
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
-    monkeypatch.setattr(ns, "quotient_size", refuse)
-    monkeypatch.setattr(ns.QuotientScorer, "level", refuse)
     for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
         with pytest.raises(SearchSpaceTooLarge,
-                           match=f"at least {n} closed submodules.* {n - 1}$"):
+                           match=f"at least {n} search steps.* {n - 1}$"):
             search(DIAG2, F, t)
+
+
+def test_work_cap_is_charged_before_the_subspaces_are_listed(monkeypatch):
+    # F_2^8 has 417,199 subspaces: one point past the cap is refused
+    # before any of them is built
+    assert fc._subspace_count(2, 8) == 417199
+    subspaces = fc._all_subspaces
+
+    def listed(p, d):
+        if d == 8:
+            raise AssertionError("the subspaces of F_2^8 were listed")
+        return subspaces(p, d)
+
+    monkeypatch.setattr(fc, "_all_subspaces", listed)
+    fc._superspaces.cache_clear()
+    F = make_module(1, Q(1), 0, 2, {(0,): 8})
+    for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
+        with pytest.raises(SearchSpaceTooLarge,
+                           match="at least 417199 search steps"):
+            search(RAY1, F, t)
 
 
 # -- memoised scoring and walking against the unmemoised paths -------------
@@ -875,45 +912,67 @@ def test_least_rank_by_level_matches_the_walk(monkeypatch):
                 for _ in range(2)]
     sizes, refused = set(), 0
     for F in modules:
-        n = sum(1 for _ in enumerate_submodules(F))
         for spec in map(ns.parse_noise_spec, CORNER_SPECS[F.r]):
-            assert ns.QuotientScorer(spec, F).corners is not None, spec
+            scorer = ns.QuotientScorer(spec, F)
+            assert scorer.corners is not None, spec
             want = _least_or_refusal(_least_rank_by_walk, spec, F)
             got = _least_or_refusal(_least_rank_by_dp, spec, F)
             assert got == want, (spec, F.dims)
             # only S = F has size 0
             assert got[Q(0)] == st.rank(F)
             sizes.update(got)
-            # one closed submodule over the cap: refused alike, and before
-            # any point's first level is read
+            # one step over the cap is refused, the steps next to the cap
+            n = _dp_steps(monkeypatch, scorer)
+            monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n)
+            assert _least_or_refusal(_least_rank_by_dp, spec, F) == want
             monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
-            want = _least_or_refusal(_least_rank_by_walk, spec, F)
-            scorer = ns.QuotientScorer(spec, F)
             with pytest.raises(SearchSpaceTooLarge) as e:
                 fc._least_rank_by_level(scorer)
-            assert str(e.value) == want, (spec, F.dims)
-            assert not scorer._first
+            assert str(e.value) == \
+                f"at least {n} search steps, over the cap {n - 1}"
             refused += 1
             monkeypatch.undo()
     assert {Q(0), Q(1), Q(2), Q(3)} <= sizes and refused > 50
 
 
-def test_least_rank_by_level_refuses_what_the_walk_refuses(monkeypatch):
-    # a lower cap that a layer's count passes part of the way through
-    # the walk: the running totals at the refusal may differ, the refusals
-    # may not
+def test_least_rank_by_level_refuses_by_its_steps(monkeypatch):
+    # at a low cap the DP refuses some modules whose closed submodules the
+    # walk lists, and answers some whose closed submodules number more than
+    # the cap: the two count different work. Where both answer, they agree.
     rng = random.Random(40)
-    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 60)
-    answers = set()
-    for _ in range(12):
-        F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
+    modules = [random_sum_module(rng, r=2, box=2, p=2, summands=3)
+               for _ in range(12)]
+    kinds = set()
+    for F in modules:
         for spec in map(ns.parse_noise_spec, CORNER_SPECS[2]):
+            n = _dp_steps(monkeypatch, ns.QuotientScorer(spec, F))
+            monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 60)
             want = _least_or_refusal(_least_rank_by_walk, spec, F)
             got = _least_or_refusal(_least_rank_by_dp, spec, F)
-            assert type(got) is type(want), (spec, F.dims)
-            assert isinstance(got, str) or got == want, (spec, F.dims)
-            answers.add(type(got))
-    assert answers == {str, dict}
+            assert isinstance(got, str) == (n > 60), (spec, F.dims)
+            assert isinstance(got, str) or isinstance(want, str) or \
+                got == want, (spec, F.dims)
+            kinds.add((type(got), type(want)))
+            monkeypatch.undo()
+    assert kinds == {(str, str), (str, dict), (dict, str), (dict, dict)}
+
+
+def test_least_rank_by_level_answers_past_the_walks_cap(monkeypatch):
+    # three draws with more closed submodules than the cap (43,088, 56,203
+    # and 39,854) whose DP takes fewer steps than it: the walk, its cap
+    # lifted, agrees
+    rng = random.Random(7)
+    draws = [random_sum_module(rng, r=2, box=3, p=2,
+                               summands=rng.randrange(3, 6))
+             for _ in range(35)]
+    spec = ns.parse_noise_spec("cone:1,1")
+    for F in (draws[7], draws[31], draws[34]):
+        got = _least_or_refusal(_least_rank_by_dp, spec, F)
+        assert "closed submodules" in \
+            _least_or_refusal(_least_rank_by_walk, spec, F)
+        monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 2 ** 16)
+        assert _least_rank_by_walk(ns.QuotientScorer(spec, F)) == got
+        monkeypatch.undo()
 
 
 def test_specs_without_a_corner_run_the_dp(monkeypatch):

@@ -5,6 +5,26 @@ least-rank member `fcf.minimal_rank_submodule` returns."""
 from pnoise import fcf as fc
 from pnoise import noise as ns
 from pnoise import structure as st
+from pnoise.errors import SearchSpaceTooLarge
+
+
+def _images_at(F, v, layer, pushed_memo):
+    """For each partial choice of S before v, given by its bases at v's
+    predecessors: the image of S's predecessors in F(v) (`fc._pushed`).
+    Every subspace of F(v) containing it completes to at least one closed
+    submodule, so their number, summed over the layer, is capped at
+    EXHAUSTIVE_WORK_CAP before any is chosen."""
+    preds = st.predecessors(v)
+    out, total = [], 0
+    for assign in layer:
+        pushed = fc._pushed(F, v, preds, assign, pushed_memo)
+        total += fc._subspace_count(F.p, F.dims[v] - pushed.cols)
+        if total > fc.EXHAUSTIVE_WORK_CAP:
+            raise SearchSpaceTooLarge(
+                f"at least {total} closed submodules, over the cap "
+                f"{fc.EXHAUSTIVE_WORK_CAP}")
+        out.append(pushed)
+    return out
 
 
 def enumerate_submodules(F):
@@ -20,8 +40,8 @@ def enumerate_submodules(F):
     pushed_memo = {}
 
     def extend(v, layer):
-        images = fc._images_at(F, v, [(1, assign) for _, assign in layer],
-                               pushed_memo)
+        images = _images_at(F, v, [assign for _, assign in layer],
+                            pushed_memo)
         return [(rank + s.cols - pushed.cols, {**assign, v: s})
                 for (rank, assign), pushed in zip(layer, images)
                 for s in fc._superspaces(pushed)]
