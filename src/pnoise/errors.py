@@ -62,8 +62,8 @@ class NotClosedUnderSums(PnoiseError):
 
 
 class SearchSpaceTooLarge(PnoiseError):
-    """Exhaustive submodule search would take more steps than its cap
-    allows; raised before the step past the cap is listed."""
+    """Exhaustive submodule search would take more steps at one point than
+    its cap allows; raised before the step past the cap is listed."""
 
 
 class UnsupportedNoise(PnoiseError):

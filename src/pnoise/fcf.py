@@ -15,13 +15,13 @@ first level both grow point by point along the grid, so a dynamic program
 keeps one least rank per (bases on the frontier, level so far), together
 with the choices that reach it first in enumeration order
 (`_least_rank_by_level`). Its work is its steps, one per state and
-subspace it may choose next; each state's steps are charged against
-`EXHAUSTIVE_WORK_CAP` before its subspaces are listed. The choices rebuild
-the minimal-rank witness (`_submodule_at`). The orbit search takes ranks from
-`structure.submodule_rank`. The one-parameter case has a closed form
-through the barcode. Budgets of maps size ker phi as K/0 in the source's
-scorer and coker phi as target/im phi in the target's, building no module,
-for every kind of spec.
+subspace it may choose next; at each point the states' steps are charged
+against `EXHAUSTIVE_WORK_CAP` before their subspaces are listed. The
+choices rebuild the minimal-rank witness (`_submodule_at`). The orbit
+search takes ranks from `structure.submodule_rank`. The one-parameter
+case has a closed form through the barcode. Budgets of maps size ker phi
+as K/0 in the source's scorer and coker phi as target/im phi in the
+target's, building no module, for every kind of spec.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
 from .noise import INFINITE
 
-# search steps the frontier DP may take, one per (state, subspace) pair it
-# scores; each state's steps are charged before its subspaces are listed
+# search steps the frontier DP may take at one point, one per (state,
+# subspace) pair it scores there; each state's steps are charged before its
+# subspaces are listed. A point's steps are at most the partial submodules
+# fixed up to it, so at most the closed submodules
 EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
@@ -323,8 +325,8 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
     futures, so one state (frontier bases, k) keeps their least (rank,
     choices). The work is the steps, one per state and subspace that
     contains the state's images. Each state's steps are counted before its
-    subspaces are listed, and the search is refused once the count passes
-    `EXHAUSTIVE_WORK_CAP`."""
+    subspaces are listed, and the search is refused once the count at one
+    point passes `EXHAUSTIVE_WORK_CAP`."""
     F, levels = scorer.F, scorer.levels
     order = st.order(F.points())
     at = {v: i for i, v in enumerate(order)}
@@ -343,12 +345,12 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
         frontier = [u for u in frontier + [v] if until[u] > i]
         plan.append((v, st.predecessors(v), [u for u in frontier if u != v],
                      until[v] > i, [u for u in scorer.points if when[u] == i]))
-    pushed_memo, steps = {}, 0
+    pushed_memo = {}
 
     # (frontier bases, k) -> (least rank, its first choices, bases)
     layer = {((), 0): (0, (), {})}
     for v, preds, kept, stays, due in plan:
-        nxt = {}
+        nxt, steps = {}, 0
         for (_, k), (rank, choices, assign) in layer.items():
             pushed = _pushed(F, v, preds, assign, pushed_memo)
             # charged before the superspaces are listed, so that no list
@@ -356,8 +358,8 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
             steps += _subspace_count(F.p, F.dims[v] - pushed.cols)
             if steps > EXHAUSTIVE_WORK_CAP:
                 raise SearchSpaceTooLarge(
-                    f"at least {steps} search steps, over the cap "
-                    f"{EXHAUSTIVE_WORK_CAP}")
+                    f"at least {steps} search steps at {v}, over the cap "
+                    f"{EXHAUSTIVE_WORK_CAP} per point")
             base = {u: assign[u] for u in kept}
             held = tuple(b.data for b in base.values())
             rank -= pushed.cols

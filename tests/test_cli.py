@@ -109,7 +109,7 @@ def test_fcf_range_over_cap_exits_at_once(line_file, capsys):
 def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
     # total dimension 12, but 2825 subspaces at each of the two points, and
     # the first one fixed stays on the frontier until (1,1): 2825 states,
-    # each with 2825 steps at the second
+    # each with 2825 steps at the second point, past the cap there
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
         2, Q(1), 1, 2, {(1, 0): 6, (0, 1): 6})))
@@ -119,8 +119,8 @@ def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1
     e = stderr_json(capsys)
     assert e["code"] == "resource"
-    assert "search steps" in e["message"]
-    assert str(EXHAUSTIVE_WORK_CAP) in e["message"]
+    assert e["message"] == "at least 33900 search steps at (1, 0), over " \
+        f"the cap {EXHAUSTIVE_WORK_CAP} per point"
 
 
 def test_fcf_exhaustive_answers_under_its_steps(tmp_path, capsys):

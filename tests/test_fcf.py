@@ -601,31 +601,41 @@ def test_superspaces_match_filtered_subspaces():
 
 
 def _dp_steps(monkeypatch, scorer):
-    """The search steps `fc._least_rank_by_level` takes on the scorer: the
-    lengths of the `_superspaces` tuples it is handed, summed."""
-    lists, steps = fc._superspaces, []
+    """(n, v): the most search steps `fc._least_rank_by_level` takes at one
+    point on the scorer, and the first point v where it takes them. A
+    point's steps are the lengths of the `_superspaces` tuples it is handed
+    there, summed; each state's tuple is listed right after its images are
+    pushed to the point."""
+    pushed, lists, steps = fc._pushed, fc._superspaces, {}
+    point = []
+
+    def at(F, v, *rest):
+        point[:] = [v]
+        return pushed(F, v, *rest)
 
     def counted(U):
         out = lists(U)
-        steps.append(len(out))
+        steps[point[0]] = steps.get(point[0], 0) + len(out)
         return out
 
     with monkeypatch.context() as m:
+        m.setattr(fc, "_pushed", at)
         m.setattr(fc, "_superspaces", counted)
         fc._least_rank_by_level(scorer)
-    return sum(steps)
+    v = max(steps, key=steps.get)   # the first point of most steps
+    return steps[v], v
 
 
-def test_work_cap_counts_search_steps(monkeypatch):
+def test_work_cap_counts_search_steps_per_point(monkeypatch):
     # the points have 1,638,400 combinations of subspaces, the edges leave
-    # 1,845 closed submodules, and the DP takes 1,325 steps over them
+    # 1,845 closed submodules, and the DP takes at most 461 steps at a point
     rng = random.Random(3)
     for _ in range(4):
         F = random_sum_module(rng, r=2, box=2, p=2, summands=3)
     assert sorted(F.dims.values()) == [0, 0, 0, 2, 2, 3, 3, 3, 3]
     assert sum(1 for _ in enumerate_submodules(F)) == 1845
-    n = _dp_steps(monkeypatch, ns.QuotientScorer(DIAG2, F))
-    assert n == 1325
+    n, v = _dp_steps(monkeypatch, ns.QuotientScorer(DIAG2, F))
+    assert n == 461
     # at the cap both exhaustive searches answer; one step over it, both
     # refuse
     want = bar_search(DIAG2, F, [Q(1)])
@@ -635,9 +645,10 @@ def test_work_cap_counts_search_steps(monkeypatch):
     minimal_rank_submodule(DIAG2, F, Q(1))
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
     for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
-        with pytest.raises(SearchSpaceTooLarge,
-                           match=f"at least {n} search steps.* {n - 1}$"):
+        with pytest.raises(SearchSpaceTooLarge) as e:
             search(DIAG2, F, t)
+        assert str(e.value) == \
+            f"at least {n} search steps at {v}, over the cap {n - 1} per point"
 
 
 def test_work_cap_is_charged_before_the_subspaces_are_listed(monkeypatch):
@@ -921,46 +932,60 @@ def test_least_rank_by_level_matches_the_walk(monkeypatch):
             # only S = F has size 0
             assert got[Q(0)] == st.rank(F)
             sizes.update(got)
-            # one step over the cap is refused, the steps next to the cap
-            n = _dp_steps(monkeypatch, scorer)
+            # one step over the cap at a point is refused, the point's
+            # steps next to the cap
+            n, v = _dp_steps(monkeypatch, scorer)
             monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n)
             assert _least_or_refusal(_least_rank_by_dp, spec, F) == want
             monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
             with pytest.raises(SearchSpaceTooLarge) as e:
                 fc._least_rank_by_level(scorer)
-            assert str(e.value) == \
-                f"at least {n} search steps, over the cap {n - 1}"
+            assert str(e.value) == f"at least {n} search steps at {v}, " \
+                f"over the cap {n - 1} per point"
             refused += 1
             monkeypatch.undo()
     assert {Q(0), Q(1), Q(2), Q(3)} <= sizes and refused > 50
 
 
 def test_least_rank_by_level_refuses_by_its_steps(monkeypatch):
-    # at a low cap the DP refuses some modules whose closed submodules the
-    # walk lists, and answers some whose closed submodules number more than
-    # the cap: the two count different work. Where both answer, they agree.
+    # at a low cap the DP answers some modules whose partial submodules at
+    # a point number more than the cap, and refuses only where the walk
+    # refuses too: a point's steps are at most the partial submodules the
+    # walk counts there. Where both answer, they agree.
     rng = random.Random(40)
     modules = [random_sum_module(rng, r=2, box=2, p=2, summands=3)
                for _ in range(12)]
     kinds = set()
     for F in modules:
         for spec in map(ns.parse_noise_spec, CORNER_SPECS[2]):
-            n = _dp_steps(monkeypatch, ns.QuotientScorer(spec, F))
+            n, _ = _dp_steps(monkeypatch, ns.QuotientScorer(spec, F))
             monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 60)
             want = _least_or_refusal(_least_rank_by_walk, spec, F)
             got = _least_or_refusal(_least_rank_by_dp, spec, F)
             assert isinstance(got, str) == (n > 60), (spec, F.dims)
-            assert isinstance(got, str) or isinstance(want, str) or \
-                got == want, (spec, F.dims)
+            assert isinstance(want, str) or got == want, (spec, F.dims)
             kinds.add((type(got), type(want)))
             monkeypatch.undo()
-    assert kinds == {(str, str), (str, dict), (dict, str), (dict, dict)}
+    assert kinds == {(str, str), (dict, str), (dict, dict)}
+
+
+def test_least_rank_by_level_answers_under_the_closed_submodule_count():
+    # one 7-dimensional point at (0,0): 29,212 closed submodules, under the
+    # cap, so the walk answers. (0,0) stays on the frontier up to (1,1), so
+    # each later point takes a step per state, and summed over the points
+    # the steps would pass the cap; the cap is per point, and at no point
+    # do they pass it.
+    F = make_module(2, Q(1), 1, 2, {(0, 0): 7})
+    assert fc._subspace_count(2, 7) == 29212 < fc.EXHAUSTIVE_WORK_CAP
+    scorer = ns.QuotientScorer(DIAG2, F)
+    assert _least_rank_by_dp(scorer) == _least_rank_by_walk(scorer) == \
+        {Q(0): 7, Q(1): 0}
 
 
 def test_least_rank_by_level_answers_past_the_walks_cap(monkeypatch):
     # three draws with more closed submodules than the cap (43,088, 56,203
-    # and 39,854) whose DP takes fewer steps than it: the walk, its cap
-    # lifted, agrees
+    # and 39,854) whose DP takes fewer steps than it at each point: the
+    # walk, its cap lifted, agrees
     rng = random.Random(7)
     draws = [random_sum_module(rng, r=2, box=3, p=2,
                                summands=rng.randrange(3, 6))
