@@ -29,8 +29,8 @@ from . import noise as ns
 from . import plots
 from . import structure as st
 from .bifiltration import build_h0
-from .errors import (ElementEnumerationTooLarge, ParseError, PnoiseError,
-                     SearchSpaceTooLarge, ValidationError)
+from .errors import (ParseError, PnoiseError, SearchSpaceTooLarge,
+                     ValidationError)
 from .field import default_prime
 from .grid import validate
 
@@ -57,8 +57,11 @@ def _write_out(text, path):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(EXIT_PARSE, "io", str(e), path) from None
 
 
 def _load_module(path):
@@ -325,7 +328,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         _emit_error("parse", e.reason, f"line {e.line}")
         return EXIT_PARSE
-    except (SearchSpaceTooLarge, ElementEnumerationTooLarge) as e:
+    except SearchSpaceTooLarge as e:
         _emit_error("resource", str(e), None)
         return EXIT_RESOURCE
     except ValidationError as e:

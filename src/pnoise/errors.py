@@ -53,10 +53,6 @@ class NotOneDimensional(PnoiseError):
     """Operation requires r == 1."""
 
 
-class ElementEnumerationTooLarge(PnoiseError):
-    """Per-point element enumeration would exceed the configured cap."""
-
-
 class NotClosedUnderSums(PnoiseError):
     """Noise component is not (certified) closed under direct sums."""
 

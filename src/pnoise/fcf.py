@@ -557,7 +557,7 @@ def minimal_rank_submodule(spec, F: GridModule, t, engine="exhaustive"):
         val, S = _orbit_value(spec, F, t)
         if S is None:
             S = st.zero_submodule(F)
-        return val, S, val in (0, st.rank(F))
+        return val, S, val == 0     # only 0 is certain, as in bar_search
     raise ValueError(f"unknown engine {engine!r}")
 
 

@@ -199,5 +199,7 @@ def barcode_from_csv(text: str):
             end = None if parts[1] == "inf" else (Fraction(parts[1]),)
         except (ValueError, ZeroDivisionError):
             raise ParseError(k, f"bad rational in {ln!r}") from None
+        if end is not None and end < start:
+            raise ParseError(k, f"bar ends before it starts in {ln!r}")
         bars.append(Bar(start, end))
     return bars

@@ -14,13 +14,15 @@ the witness's norm (w_i for cones, a_j for vnorm). Offset costs, feasible
 offsets and the closure-under-sums test all start from it.
 
 Their one kill test is `_point_test`: x in F(v) dies in F/S along m when
-F(v <= v+m)x lies in S(v+m). Membership runs it on F/0 at one level;
+F(v <= v+m)x lies in S(v+m). It decides by linear algebra whether the
+classes that die along some m cover F(v)/S(v), listing no element.
 `quotient_size` sizes F/S, F, or a closed K/0 (the kernel of a map out of
 F) for every kind of spec, building no module: domain and dimension specs
 read only the quotient's dimensions, an intersection its largest part
-size. One `QuotientScorer` per (spec, F) decides the kind and holds the
-levels, their kill offsets, the maps F(v <= w) and the verdicts found,
-each reused for every S (and K) agreeing where the test reads.
+size. `noise_size` is the size of F/0, and membership reads it. One
+`QuotientScorer` per (spec, F) decides the kind and holds the levels,
+their kill offsets, the maps F(v <= w) and the verdicts found, each
+reused for every S (and K) agreeing where the test reads.
 
 When every level k has a quiet corner c_k (all of r=1, and e.g. cone:1,1),
 F/S is within level k iff at every point w, colspan F(v* <= w) lies in
@@ -43,19 +45,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import field as fp
 from . import polyhedra as ph
-from .errors import (ElementEnumerationTooLarge, NotClosedUnderSums,
-                     ParseError, UnsupportedNoise)
+from .errors import NotClosedUnderSums, ParseError, UnsupportedNoise
 from .field import Mat
 from .grid import GridModule, add, box_points, clip, evaluate_map, leq
 from .structure import Submodule, zero_submodule
 
 INFINITE = float("inf")
-
-ELEMENT_CAP = 2 ** 16
 
 
 # -- spec types ------------------------------------------------------------
@@ -377,13 +376,6 @@ def _cell_covered(lo, hi, boxes):
     return True
 
 
-def _elements(dim, p):
-    if p ** dim > ELEMENT_CAP:
-        raise ElementEnumerationTooLarge(
-            f"{p}^{dim} exceeds the {ELEMENT_CAP} element cap")
-    return itertools.product(range(p), repeat=dim)
-
-
 def _dims_within(spec, F: GridModule, dims, eps) -> bool:
     """Is a module on F's grid with dimension dims[v] at each point v within
     level eps of a domain or dimension spec? Neither reads anything else."""
@@ -395,29 +387,15 @@ def _dims_within(spec, F: GridModule, dims, eps) -> bool:
 
 
 def contains(spec, F: GridModule, eps) -> bool:
-    """Is F within noise level eps? Tests that one level only: a kill test
-    over too many elements is refused even where a larger level passes."""
-    eps = Fraction(eps)
-    if eps < 0:
-        return False
-    if isinstance(spec, (ConeNoise, VNormNoise)):
-        maximal, corner, corner_ok = _kill_offsets(spec, F.alpha, F.box, F.r,
-                                                   eps)
-        offsets = (corner,) if corner_ok else maximal
-        zero = zero_submodule(F).basis
-        return all(_point_test(F, zero, v, corner_ok,
-                               [_path(F, v, m) for m in offsets])
-                   for v in F.points() if F.dims[v])
-    if isinstance(spec, (DomainNoise, DimensionNoise)):
-        return _dims_within(spec, F, F.dims, eps)
-    if isinstance(spec, Intersection):
-        return all(contains(part, F, eps) for part in spec.parts)
-    raise UnsupportedNoise(type(spec).__name__)
+    """Is F within noise level eps? The levels are nested and membership
+    changes only at a candidate, so F is within eps iff its size is at
+    most eps."""
+    return noise_size(spec, F) <= Fraction(eps)
 
 
 def noise_size(spec, F: GridModule):
-    """Smallest eps with contains(spec, F, eps), or INFINITE: the size of
-    F/0 in a scorer of F, for every kind of spec."""
+    """The first candidate level that F lies within, or INFINITE: the size
+    of F/0 in a scorer of F, for every kind of spec."""
     return quotient_size(QuotientScorer(spec, F), zero_submodule(F))
 
 
@@ -525,12 +503,6 @@ class QuotientScorer:
         return k
 
 
-def _path(F: GridModule, v, m):
-    """(w, F(v <= w)) for w = v+m clipped to the box."""
-    w = clip(add(v, m), F.box)
-    return w, evaluate_map(F, v, w)
-
-
 def _point_within(scorer: QuotientScorer, bases, v, k, K=None):
     """Is the point v of F/S (of K/0, given K's bases) within level
     levels[k], S's bases in `bases`? The test reads S(w) at a quiet corner
@@ -546,28 +518,46 @@ def _point_within(scorer: QuotientScorer, bases, v, k, K=None):
     if hit is None:
         if K is not None:   # the elements of K/0 at v are K(v)'s coordinates
             paths = [(w, A @ K[v]) for w, A in paths]
-        hit = scorer._verdicts[key] = _point_test(scorer.F, bases, v,
-                                                 corner_ok, paths)
+        hit = scorer._verdicts[key] = _point_test(bases, v, corner_ok, paths)
     return hit
 
 
-def _point_test(F: GridModule, bases, v, corner_ok, paths):
+def _point_test(bases, v, corner_ok, paths):
     """The kill test of the point v of F/S, S's bases in `bases`, along the
     given paths, the quiet corner's or each maximal offset's, on the
-    coordinates of their columns."""
+    coordinates of their columns.
+
+    Without a quiet corner, the class of x (supported on the f non-pivot
+    rows of S(v)'s basis) dies along m iff R_m x = 0, R_m the residue of
+    F(v <= w_m) modulo S(w_m) on those rows; the point passes iff the
+    kernels K_m cover F_p^f. It does when f = 0 or some R_m = 0. It does
+    not when n <= p kernels are proper: a space over F_p is not a union of
+    p or fewer proper subspaces (P. L. Clark, Covering numbers in linear
+    algebra, Amer. Math. Monthly 119, 2012). Else inclusion-exclusion
+    counts the union, |K_T| = p^(f - rank of the R_m stacked over T) for
+    each nonempty set T of them: 2^n - 1 ranks, and no element listed."""
     if corner_ok:
         (w, A), = paths
         return fp.span_contains(bases[w], A)
     pivots = fp.pivot_rows(bases[v])    # F-coordinates: none when S = 0
     free = [i for i in range(paths[0][1].cols) if i not in pivots]
-    classes = _elements(len(free), F.p)
     residues = []
     for w, A in paths:
         R = fp.residue(bases[w], A)
-        residues.append(Mat(F.p, R.rows, len(free), tuple(
-            tuple(row[i] for i in free) for row in R.data)))
-    return all(any(not any(R.apply(x)) for R in residues)
-               for x in classes if any(x))
+        R = Mat(R.p, R.rows, len(free), tuple(
+            tuple(row[i] for i in free) for row in R.data))
+        if R.is_zero():
+            return True
+        residues.append(R)
+    p, f = residues[0].p, len(free)
+    if len(residues) <= p:
+        return False
+    covered = 0
+    for size in range(1, len(residues) + 1):
+        for T in itertools.combinations(residues, size):
+            stack = reduce(Mat.vstack, T)
+            covered += (-1) ** (size + 1) * p ** (f - fp.rank(stack))
+    return covered == p ** f
 
 
 def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
@@ -583,10 +573,9 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     at most eps. The test is monotone in eps, so one ascending pass over
     the points finds the size: each point's first passing level from the
     level so far (`QuotientScorer.level`). With quiet corners that level is
-    memoised on (v, S(v).data); otherwise the kill test runs on one
-    representative per nonzero class of F(v)/S(v), the vectors supported
-    on the non-pivot rows of S(v)'s basis, so ELEMENT_CAP sees the
-    dimension of the quotient (or of K(v))."""
+    memoised on (v, S(v).data); otherwise the kill test (`_point_test`)
+    runs on the classes of F(v)/S(v), read on the non-pivot rows of S(v)'s
+    basis (on K(v)'s coordinates for K/0)."""
     F, levels = scorer.F, scorer.levels
     if K is not None and any(S.basis[v].cols for v in F.points()):
         raise ValueError("a submodule K is sized only over S = 0")

@@ -1,14 +1,51 @@
-"""The slow path that `noise.quotient_size` replaces for domain, dimension
-and intersection specs: membership by the rules `noise.contains` runs on a
-built module, and the size as the first candidate level at which it holds.
-Cone-shaped specs, and the cone-shaped parts of an intersection, are asked
-of `noise.contains` and `noise.noise_size`, whose cone paths stay as they
-were. Also random specs of the three kinds, for the differential tests."""
+"""The slow paths that `noise.contains`, `noise.noise_size` and
+`noise._point_test` replace: membership by the rules on a built module,
+one level at a time, with a cone-shaped level without a quiet corner
+decided by listing every element of F(v); and the size as the first
+candidate level at which membership holds. Also random specs of the three
+kinds, for the differential tests."""
 
+import itertools
 from fractions import Fraction as Q
 
+from pnoise import field as fp, grid
 from pnoise import noise as ns
 from pnoise.noise import INFINITE
+
+
+def point_passes_by_enumeration(bases, v, paths, p):
+    """`noise._point_test` without a quiet corner, by listing F(v): does
+    every x in F(v) outside S(v) have a path (w, A) with A x in S(w)?"""
+    for x in itertools.product(range(p), repeat=paths[0][1].cols):
+        if fp.in_span(bases[v], x):
+            continue
+        if not any(fp.in_span(bases[w], A.apply(x)) for w, A in paths):
+            return False
+    return True
+
+
+def cone_contains_by_enumeration(spec, F, eps):
+    """Is F within level eps of a cone-shaped spec, that one level alone?
+    A quiet corner c asks every map F(v <= v+c) to be zero; otherwise each
+    nonzero x in F(v) must die along some maximal offset."""
+    eps = Q(eps)
+    if eps < 0:
+        return False
+    maximal, corner, corner_ok = ns._kill_offsets(spec, F.alpha, F.box, F.r,
+                                                  eps)
+    for v in F.points():
+        if not F.dims[v]:
+            continue
+        maps = [grid.evaluate_map(F, v, grid.clip(grid.add(v, m), F.box))
+                for m in ((corner,) if corner_ok else maximal)]
+        if corner_ok:
+            if not maps[0].is_zero():
+                return False
+            continue
+        for x in itertools.product(range(F.p), repeat=F.dims[v]):
+            if any(x) and all(any(A.apply(x)) for A in maps):
+                return False
+    return True
 
 
 def contains_by_rules(spec, F, eps):
@@ -23,14 +60,12 @@ def contains_by_rules(spec, F, eps):
         return max(F.dims.values(), default=0) <= spec.threshold(eps)
     if isinstance(spec, ns.Intersection):
         return all(contains_by_rules(part, F, eps) for part in spec.parts)
-    return ns.contains(spec, F, eps)
+    return cone_contains_by_enumeration(spec, F, eps)
 
 
 def noise_size_by_candidates(spec, F):
     """Membership is monotone in eps and changes only at a candidate, so
     the size is the first candidate where F is contained."""
-    if isinstance(spec, (ns.ConeNoise, ns.VNormNoise)):
-        return ns.noise_size(spec, F)
     if F.total_dim() == 0:
         return Q(0)
     for eps in ns.noise_candidates(spec, F):

@@ -296,6 +296,19 @@ def test_export_svg_fcf(tmp_path):
     assert "polyline" in svg.read_text()
 
 
+def test_output_into_a_missing_directory_is_an_io_error(line_file, tmp_path,
+                                                        capsys):
+    missing = tmp_path / "nodir"
+    for argv in (["export", line_file, "--svg", str(missing / "x.svg")],
+                 ["denoise", line_file, "--noise", "cone:1", "--t", "3/2",
+                  "-o", str(missing / "den.mod")]):
+        assert main(argv) == 2
+        e = stderr_json(capsys)
+        assert e["code"] == "io" and "No such file" in e["message"]
+        assert e["location"] == argv[-1]
+    assert not missing.exists()
+
+
 def test_export_needs_target(line_file, capsys):
     assert main(["export", line_file]) == 2
 

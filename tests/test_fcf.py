@@ -8,9 +8,8 @@ import pytest
 from pnoise import barcode as bc, denoise as dn, fcf as fc
 from pnoise import field as fp, gallery as ga, grid, noise as ns
 from pnoise import structure as st
-from pnoise.errors import (ElementEnumerationTooLarge, IncompatibleShape,
-                           NotOneDimensional, SearchSpaceTooLarge,
-                           UnsupportedNoise)
+from pnoise.errors import (IncompatibleShape, NotOneDimensional,
+                           SearchSpaceTooLarge, UnsupportedNoise)
 from pnoise.fcf import (EquivalenceBudget, FeatureCountingFunction,
                         bar_r1, bar_search, bar_zero_check,
                         closeness_upper_bound, constant_fcf,
@@ -173,8 +172,7 @@ def _maps(src, dst):
 def _check_budgets(spec, pairs, most=40):
     """For each pair (F, G), one pair of scorers sizes the maps F -> G and
     G -> F (a seeded sample of `most` when there are more) as the module
-    path does, an element-cap refusal counting as an answer; returns the
-    budgets."""
+    path does; returns the budgets."""
     rng = random.Random(43)
     seen = []
     for F, G in pairs:
@@ -185,9 +183,9 @@ def _check_budgets(spec, pairs, most=40):
             if len(maps) > most:
                 maps = rng.sample(maps, most)
             for phi in maps:
-                want = _size_or_refusal(_budget_by_modules, spec, phi)
-                assert _size_or_refusal(fc._budget, spec, phi, scorers) == \
-                    want, (spec, src.dims, dst.dims, phi.mats)
+                want = _budget_by_modules(spec, phi)
+                assert fc._budget(spec, phi, scorers) == want, \
+                    (spec, src.dims, dst.dims, phi.mats)
                 seen.append(want)
     return seen
 
@@ -457,6 +455,31 @@ def test_bar_orbit_upper_bounds_exhaustive():
             assert orbit.value(t) >= exact.value(t)
 
 
+def test_orbit_flags_no_wrong_value_exact():
+    # the orbit pool is not exhaustive, so a value of rank(F) is only an
+    # upper bound: on this sum of five bars (#14 of 40 seeded cone:1,1
+    # draws) the orbit engine returns 5 at t = 3, the exhaustive one 4;
+    # both orbit entry points flag exact only a value of 0
+    spec = ns.parse_noise_spec("cone:1,1")
+    F = zero_module(2, Q(1), 3, 2)
+    for bar in (Bar((0, 1)), Bar((0, 0), (1, 1)), Bar((3, 2), (4, 4)),
+                Bar((3, 3), (4, 4)), Bar((1, 3))):
+        F = direct_sum(F, make_bar(bar, 3, Q(1), 2, 2))
+    assert minimal_rank_submodule(spec, F, 3, engine="orbit")[::2] == \
+        (st.rank(F), False) == (5, False)
+    assert minimal_rank_submodule(spec, F, 3)[0] == 4
+    flagged = 0
+    for G in (ga.hook_module(), ga.staircase_module(),
+              ga.plane_example_module()):
+        for t in (Q(1), Q(2), Q(3)):
+            val, _, flag = minimal_rank_submodule(spec, G, t, engine="orbit")
+            (_, bar_flag), = bar_search(spec, G, [t], engine="orbit").flags
+            assert flag == bar_flag == (val == 0)
+            assert not flag or val == minimal_rank_submodule(spec, G, t)[0]
+            flagged += flag
+    assert flagged > 0
+
+
 def test_direct_sum_bounds():
     F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
     G = make_bar(Bar((1,), (2,)), 4, Q(1), 2)
@@ -550,23 +573,22 @@ def test_scorer_matches_quotient_sizes_of_every_spec_kind():
     assert len(sizes - {INFINITE}) > 2 and INFINITE in sizes
 
 
-def test_scorer_element_cap_counts_quotient_classes():
+def test_scorer_sizes_large_quotient_points():
     # r=3 and no quiet corner at level 1: F/S is sized by the level walk,
-    # whose kill test enumerates F(v)/S(v)
+    # whose kill test lists no element of F(v)/S(v); the oracle lists all
+    # 2^17 of them
     F = make_module(3, Q(1), 1, 2, {(0, 0, 0): 17})
     S = st.zero_submodule(F)
     assert ns.QuotientScorer(NO_CORNER3, F).corners is None
-    with pytest.raises(ElementEnumerationTooLarge):
-        _quotient_size(NO_CORNER3, F, S)
-    with pytest.raises(ElementEnumerationTooLarge):
-        ns.quotient_size(ns.QuotientScorer(NO_CORNER3, F), S)
-    # a one-dimensional quotient of the same point is scored, not refused
+    assert ns.quotient_size(ns.QuotientScorer(NO_CORNER3, F), S) == \
+        _quotient_size(NO_CORNER3, F, S) == 1
+    # a one-dimensional quotient of the same point
     S = st.span_submodule(F, [((0, 0, 0), tuple(int(i == j)
                                                 for i in range(17)))
                               for j in range(16)])
     assert ns.quotient_size(ns.QuotientScorer(NO_CORNER3, F), S) == \
         _quotient_size(NO_CORNER3, F, S) == 1
-    # r=1 always has a quiet corner: no element is enumerated in either path
+    # r=1 always has a quiet corner
     F = make_module(1, Q(1), 1, 2, {(0,): 17})
     S = st.zero_submodule(F)
     assert ns.quotient_size(ns.QuotientScorer(RAY1, F), S) == \
@@ -696,7 +718,8 @@ def _point_within_unmemoised(spec, F, S, v, eps):
         residues.append(Mat(F.p, R.rows, len(free), tuple(
             tuple(row[i] for i in free) for row in R.data)))
     return all(any(not any(R.apply(x)) for R in residues)
-               for x in ns._elements(len(free), F.p) if any(x))
+               for x in itertools.product(range(F.p), repeat=len(free))
+               if any(x))
 
 
 def _quotient_size_unmemoised(spec, F, S):
@@ -738,29 +761,20 @@ def _enumerate_submodules_unmemoised(F):
             yield rank + s.cols, {**assign, last: s}
 
 
-def _size_or_refusal(size, *args):
-    try:
-        return size(*args)
-    except ElementEnumerationTooLarge:
-        return ElementEnumerationTooLarge
-
-
 def _check_scorer_memo(spec, F):
     """One scorer sizes every closed submodule of F, in walk order and in
-    reverse, as the unmemoised test does; an element-cap refusal counts as
-    an answer."""
+    reverse, as the unmemoised test does."""
     subs = [st.Submodule(F, basis)
             for _, basis in _enumerate_submodules_unmemoised(F)]
-    want = [_size_or_refusal(_quotient_size_unmemoised, spec, F, S)
-            for S in subs]
+    want = [_quotient_size_unmemoised(spec, F, S) for S in subs]
     for step in (1, -1):
         scorer = ns.QuotientScorer(spec, F)
-        assert [_size_or_refusal(ns.quotient_size, scorer, S)
+        assert [ns.quotient_size(scorer, S)
                 for S in subs[::step]] == want[::step], (spec, F.dims)
     return want
 
 
-def test_scorer_memo_matches_unmemoised_test(monkeypatch):
+def test_scorer_memo_matches_unmemoised_test():
     rng = random.Random(35)
     for p in (2, 3):
         for _ in range(12):
@@ -773,18 +787,16 @@ def test_scorer_memo_matches_unmemoised_test(monkeypatch):
         F = random_sum_module(rng, r=2, box=2, p=2, summands=2)
         for spec in (DIAG2, ConeNoise(((1, 2), (2, 1)))):
             _check_scorer_memo(spec, F)
-    # the r=3 levels without a quiet corner enumerate F(v)/S(v); with the
-    # cap at 2 a two-dimensional quotient is refused, so a verdict must
-    # not be reused for an S that differs from an earlier one only at v
-    monkeypatch.setattr(ns, "ELEMENT_CAP", 2)
-    refused = 0
+    # the r=3 levels without a quiet corner run the kill test on the
+    # classes of F(v)/S(v), and its verdicts are memoised on the bases of S
+    # it reads
+    sizes = set()
     modules = [make_module(3, Q(1), 1, 2, {(0, 0, 0): 2})]
     modules += [random_sum_module(rng, r=3, box=1, p=2, summands=2)
                 for _ in range(8)]
     for F in modules:
-        refused += _check_scorer_memo(NO_CORNER3, F).count(
-            ElementEnumerationTooLarge)
-    assert refused > 0
+        sizes.update(_check_scorer_memo(NO_CORNER3, F))
+    assert len(sizes - {INFINITE}) > 1 and INFINITE in sizes
 
 
 def test_per_point_sizes_match_the_level_walk(monkeypatch):

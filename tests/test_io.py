@@ -98,6 +98,15 @@ def test_barcode_csv_bad_header():
         barcode_from_csv("a,b\n1,2\n")
 
 
+def test_barcode_csv_bar_ending_before_its_start():
+    with pytest.raises(ParseError) as e:
+        barcode_from_csv("start,end\n0,1\n3,1\n")
+    assert e.value.line == 3 and "ends before it starts" in e.value.reason
+    with pytest.raises(ParseError) as e:
+        barcode_from_csv("start,end\n3,1\n")
+    assert e.value.line == 2
+
+
 # -- bifiltration ----------------------------------------------------------
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from pnoise import field as fp, grid, noise, polyhedra as ph
 from pnoise import structure as st
-from pnoise.errors import (ElementEnumerationTooLarge, NotClosedUnderSums,
-                           ParseError, UnsupportedNoise)
+from pnoise.errors import NotClosedUnderSums, ParseError, UnsupportedNoise
 from pnoise.field import Mat
 from pnoise.grid import (Bar, GridModule, direct_sum, make_bar, make_free,
                          make_module, modules_iso_rankwise, zero_module)
@@ -18,7 +17,8 @@ from pnoise.noise import (INFINITE, ConeNoise, DimensionNoise, DomainNoise,
 
 from conftest import random_line_module, random_sum_module
 from noise_oracle import (contains_by_rules, noise_size_by_candidates,
-                          random_specs)
+                          point_passes_by_enumeration, random_specs)
+from walk_oracle import enumerate_submodules
 
 RAY1 = ConeNoise(((Q(1),),))
 DIAG2 = ConeNoise(((Q(1), Q(1)),))
@@ -340,17 +340,114 @@ def test_sizes_and_membership_match_the_rules():
 NO_CORNER3 = ConeNoise(((1, 1, 0), (1, 0, 1)))
 
 
-def test_contains_tests_one_level():
-    # a 17-dimensional point: level 1 has no quiet corner, so its kill test
-    # would enumerate 2^17 elements and is refused, while levels 0, 2 and 3
-    # answer; noise_size walks the levels and so refuses at level 1
+def test_contains_reads_the_size_of_a_large_point():
+    # a 17-dimensional point: level 1 has no quiet corner, and its kill
+    # paths end at points of dimension 0, so every class dies there; the
+    # kill test decides it with no element listed
     F = make_module(3, Q(1), 1, 2, {(0, 0, 0): 17})
-    assert not contains(NO_CORNER3, F, 0)
-    with pytest.raises(ElementEnumerationTooLarge):
-        contains(NO_CORNER3, F, 1)
-    assert contains(NO_CORNER3, F, 2) and contains(NO_CORNER3, F, 3)
-    with pytest.raises(ElementEnumerationTooLarge):
-        noise_size(NO_CORNER3, F)
+    assert not noise._kill_offsets(NO_CORNER3, Q(1), 1, 3, Q(1))[2]
+    got = [contains(NO_CORNER3, F, eps) for eps in range(4)]
+    assert got == [False, True, True, True]
+    assert got == [contains_by_rules(NO_CORNER3, F, eps) for eps in range(4)]
+    assert noise_size(NO_CORNER3, F) == 1 == \
+        noise_size_by_candidates(NO_CORNER3, F)
+
+
+def _random_kill_paths(rng, p, f, n):
+    """n paths (w_i, A_i) out of a point v with S = 0, each A_i a nonzero
+    one- or two-row matrix on F_p^f: their kernels are proper subspaces,
+    mostly hyperplanes, so that some sets of them cover F_p^f."""
+    bases = {"v": Mat.zeros(f, 0, p)}
+    paths = []
+    for i in range(n):
+        rows = 1 if rng.random() < 0.8 else 2
+        while True:
+            A = Mat.from_rows([[rng.randrange(p) for _ in range(f)]
+                               for _ in range(rows)], p)
+            if not A.is_zero():
+                break
+        bases[i] = Mat.zeros(rows, 0, p)
+        paths.append((i, A))
+    return bases, paths
+
+
+def test_point_test_matches_enumeration_on_random_kernels():
+    # n > p proper kernels: the shortcuts settle nothing, so every verdict
+    # comes from the inclusion-exclusion count; n = p + 1 hyperplanes are
+    # the fewest that can cover F_p^2
+    rng = random.Random(49)
+    seen = set()
+    for p in (2, 3):
+        # the p + 1 lines of F_p^2, one kernel each, cover it
+        lines = [(1, c) for c in range(p)] + [(0, 1)]
+        cases = [({"v": Mat.zeros(2, 0, p), **{i: Mat.zeros(1, 0, p)
+                                               for i in range(p + 1)}},
+                  [(i, Mat.from_rows([[-b % p, a]], p))
+                   for i, (a, b) in enumerate(lines)])]
+        for _ in range(400):
+            cases.append(_random_kill_paths(rng, p, rng.randint(1, 3),
+                                            rng.randint(p + 1, p + 3)))
+        for bases, paths in cases:
+            n = len(paths)
+            got = noise._point_test(bases, "v", False, paths)
+            assert got == point_passes_by_enumeration(bases, "v", paths, p), \
+                (p, paths)
+            seen.add((p, got, n == p + 1))
+    assert seen == {(p, got, tight) for p in (2, 3) for got in (False, True)
+                    for tight in (False, True)}
+
+
+def test_point_test_matches_enumeration_on_closed_submodules():
+    # every closed S of small r=3 modules, at every point S does not fill
+    # and every level without a quiet corner: NO_CORNER3's have two kill
+    # offsets, and the box-2 cone's level 2 has three
+    rng = random.Random(50)
+    cases = [(NO_CORNER3, random_sum_module(rng, r=3, box=1, p=p,
+                                            summands=summands))
+             for p, summands in ((2, 3), (3, 2)) for _ in range(3)]
+    rng = random.Random(51)
+    cases += [(ConeNoise(((1, 1, 0), (0, 1, 1))),
+               random_sum_module(rng, r=3, box=2, p=2, summands=2))
+              for _ in range(3)]
+    verdicts = set()
+    for spec, F in cases:
+        scorer = noise.QuotientScorer(spec, F)
+        levels = [k for k, (_, _, ok) in enumerate(scorer.kills) if not ok]
+        assert levels
+        for _, basis in enumerate_submodules(F):
+            for v in scorer.points:
+                if basis[v].cols == F.dims[v]:
+                    continue
+                for k in levels:
+                    maximal = scorer.kills[k][0]
+                    paths = [scorer.path(v, m) for m in maximal]
+                    got = noise._point_test(basis, v, False, paths)
+                    assert got == point_passes_by_enumeration(
+                        basis, v, paths, F.p), (F.dims, basis, v, k)
+                    verdicts.add((len(maximal), got))
+    assert verdicts == {(n, got) for n in (2, 3) for got in (False, True)}
+
+
+def test_point_verdicts_are_keyed_on_every_basis_they_read():
+    # for a closed S the verdict does not depend on S(v), but the test reads
+    # it: two bases that differ only at v, the second not closed, get
+    # different verdicts, and the memo must not hand out the first one
+    # e1 dies along (1, 1, 0) and lives along (1, 0, 1), e2 the other way
+    F = direct_sum(make_bar(Bar((0, 0, 0), (1, 1, 0)), 1, Q(1), 2, 3),
+                   make_bar(Bar((0, 0, 0), (1, 0, 1)), 1, Q(1), 2, 3))
+    scorer = noise.QuotientScorer(NO_CORNER3, F)
+    k = scorer.levels.index(Q(1))
+    maximal, _, corner_ok = scorer.kills[k]
+    assert not corner_ok and sorted(maximal) == [(1, 0, 1), (1, 1, 0)]
+    zero = st.zero_submodule(F).basis
+    answers = []
+    for Sv in (Mat.zeros(2, 0, 2), Mat.from_cols([(1, 1)], 2, 2)):
+        bases = {**zero, (0, 0, 0): Sv}
+        paths = [scorer.path((0, 0, 0), m) for m in maximal]
+        want = noise._point_test(bases, (0, 0, 0), False, paths)
+        assert noise._point_within(scorer, bases, (0, 0, 0), k) == want
+        answers.append(want)
+    assert answers == [False, True]
 
 
 # -- closure under sums ----------------------------------------------------
@@ -546,13 +643,16 @@ def test_list_built_specs_work_under_the_memo():
 
 
 def test_kill_offsets_memoised_per_shape():
+    # the kill offsets of every level depend only on (spec, alpha, box, r,
+    # eps): a second module of the same shape adds no miss
     noise._kill_offsets.cache_clear()
     F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
     G = make_bar(Bar((1,), (2,)), 4, Q(1), 2)     # same (alpha, box, r)
     assert contains(RAY1, F, Q(2))
-    assert noise._kill_offsets.cache_info().misses == 1
+    misses = noise._kill_offsets.cache_info().misses
+    assert misses > 0
     assert contains(RAY1, G, Q(2))
-    assert noise._kill_offsets.cache_info().misses == 1
+    assert noise._kill_offsets.cache_info().misses == misses
 
 
 # -- the witness system against the hand-built systems it replaced ---------
