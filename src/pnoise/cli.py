@@ -94,7 +94,8 @@ def _parse_q(text, flag):
 
 
 def _parse_t_list(text):
-    """Comma list `0,1,3/2` or range `a:b:step`."""
+    """Comma list `0,1,3/2` or range `a:b:step`, either of at most
+    T_POINTS_CAP points."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -110,7 +111,12 @@ def _parse_t_list(text):
                            f"range has {count} points, cap {T_POINTS_CAP}",
                            "--t")
         return [a + k * s for k in range(count)]
-    return [_parse_q(x, "--t") for x in text.split(",") if x.strip()]
+    items = [x for x in text.split(",") if x.strip()]
+    if len(items) > T_POINTS_CAP:
+        raise CliError(EXIT_RESOURCE, "resource",
+                       f"list has {len(items)} points, cap {T_POINTS_CAP}",
+                       "--t")
+    return [_parse_q(x, "--t") for x in items]
 
 
 # -- subcommand bodies -----------------------------------------------------

@@ -12,11 +12,14 @@ far (`QuotientScorer.level`), reads S at that point alone when every level
 has a quiet corner, and at the ends of its kill paths otherwise. The
 exhaustive search scores no submodule one by one: rank(S) and the largest
 first level both grow point by point along the grid, so a dynamic program
-keeps one least rank per (bases on the frontier, level so far), together
-with the choices that reach it first in enumeration order
-(`_least_rank_by_level`). Its work is its steps, one per state and
-subspace it may choose next; at each point the states' steps are charged
-against `EXHAUSTIVE_WORK_CAP` before their subspaces are listed. The
+keeps one least rank per (pending images, bases read later, level so far),
+together with the choices that reach it first in enumeration order
+(`_least_rank_by_level`). The pending images at an unfixed point are the
+span there of the images of S's fixed predecessors; they and the bases a
+later level reads (none with quiet corners) are all that later points
+read of S. Its work is its steps, one per state and subspace it may
+choose next; at each point the states' steps are charged against
+`EXHAUSTIVE_WORK_CAP` before their subspaces are listed. The
 choices rebuild the minimal-rank witness (`_submodule_at`). The orbit
 search takes ranks from `structure.submodule_rank`. The one-parameter
 case has a closed form through the barcode. Budgets of maps size ker phi
@@ -41,10 +44,11 @@ from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
 from .noise import INFINITE
 
-# search steps the frontier DP may take at one point, one per (state,
-# subspace) pair it scores there; each state's steps are charged before its
-# subspaces are listed. A point's steps are at most the partial submodules
-# fixed up to it, so at most the closed submodules
+# search steps the exhaustive DP may take at one point, one per (state,
+# subspace) pair it scores there, a state being the pending images, the
+# bases read later and the level so far; each state's steps are charged
+# before its subspaces are listed. A point's steps are at most the partial
+# submodules fixed up to it, so at most the closed submodules
 EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
@@ -188,17 +192,19 @@ def _kernel_and_image(phi: st.NatMap, memo):
     return st.Submodule(phi.source, ker), st.Submodule(phi.target, im)
 
 
-def _budget(spec, phi: st.NatMap, scorers=(), memo=None) -> EquivalenceBudget:
+def _budget(spec, phi: st.NatMap, scorers=(), memo=None, zero=None) \
+        -> EquivalenceBudget:
     """phi's budget from the (source, target) scorers, built here if not
-    given: ker phi sized as K/0 in the source, coker phi as target/im phi.
-    memo holds reduced kernel and image bases for maps of one source and
-    target (`_kernel_and_image`)."""
+    given: ker phi sized as K/0 in the source, zero its zero submodule if
+    given, coker phi as target/im phi. memo holds reduced kernel and image
+    bases for maps of one source and target (`_kernel_and_image`)."""
     ker, im = _kernel_and_image(phi, {} if memo is None else memo)
     src, dst = scorers or (ns.QuotientScorer(spec, phi.source),
                            ns.QuotientScorer(spec, phi.target))
-    return EquivalenceBudget(
-        ns.quotient_size(src, st.zero_submodule(phi.source), ker),
-        ns.quotient_size(dst, im))
+    if zero is None:
+        zero = st.zero_submodule(phi.source)
+    return EquivalenceBudget(ns.quotient_size(src, zero, ker),
+                             ns.quotient_size(dst, im))
 
 
 def equivalence_budget(spec, phi: st.NatMap) -> EquivalenceBudget:
@@ -297,17 +303,6 @@ def _superspaces(U: Mat):
     return tuple(sorted(out, key=_subspace_key))
 
 
-def _pushed(F: GridModule, v, preds, assign, memo):
-    """The canonical basis of the images in F(v) of S at v's predecessors
-    preds, their bases in assign; memo maps (v, those bases) to it, as it
-    depends on nothing else."""
-    key = (v, tuple(assign[u].data for u, _ in preds))
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = fp.column_reduce(st.predecessor_images(F, v, assign))
-    return hit
-
-
 def _least_rank_by_level(scorer: ns.QuotientScorer):
     """{size: (least rank, choices)} over the closed submodules S of the
     scorer's F with F/S of finite size; choices[i] is S's index in
@@ -319,67 +314,112 @@ def _least_rank_by_level(scorer: ns.QuotientScorer):
     gains dim S(v) minus their dimension. A point's first passing level
     (`QuotientScorer.level`) is read once every basis it reads is fixed,
     from the largest level k so far, so both the rank and k grow point by
-    point. The choices at later points read S only on the frontier: the
-    points fixed so far that a later point succeeds or reads. Partial
-    submodules that agree there and have the same k have the same
-    futures, so one state (frontier bases, k) keeps their least (rank,
-    choices). The work is the steps, one per state and subspace that
-    contains the state's images. Each state's steps are counted before its
-    subspaces are listed, and the search is refused once the count at one
-    point passes `EXHAUSTIVE_WORK_CAP`."""
+    point. The later points read the fixed part of S only through:
+    - the pending images: at each unfixed point w with a fixed
+      predecessor, the span of F(u <= w) S(u) over its fixed predecessors
+      u, which the choices at w contain;
+    - the bases that a level not yet due reads, which happens only for a
+      spec without a quiet corner.
+    Partial submodules that agree there and have the same k have the same
+    futures, so one state (pending images, read bases, k) keeps their
+    least (rank, choices). Fixing v hands each successor's pending span
+    one more image. The work is the steps, one per state and subspace
+    that contains the state's images at the point. Each state's steps are
+    counted before its subspaces are listed, and the search is refused
+    once the count at one point passes `EXHAUSTIVE_WORK_CAP`
+    (`_fix_point`)."""
     F, levels = scorer.F, scorer.levels
     order = st.order(F.points())
     at = {v: i for i, v in enumerate(order)}
-    # a point's level is read once every basis it reads is fixed; each
-    # point is kept up to its last successor and its last reader
+    # a point's level is read once every basis it reads is fixed; a basis
+    # is held while a level not yet due reads it, which never happens with
+    # quiet corners, where a point's level reads that point alone
     reads = {v: scorer.reads(v) for v in scorer.points}
     when = {v: max(at[u] for u in us) for v, us in reads.items()}
-    until = {u: max([at[u]] + [at[add(u, unit(i, F.r))]
-                               for i in range(F.r) if u[i] < F.box])
-             for u in order}
+    until = dict.fromkeys(order, -1)
     for v, us in reads.items():
         for u in us:
             until[u] = max(until[u], when[v])
-    plan, frontier = [], []
+    # a state holds its pending spans in the order of `waiting` and its
+    # read bases in the order of `held`; each step names the places it
+    # reads in the layer before it
+    layer = {None: (0, (), 0, (), ())}
+    waiting, held = [], []
     for i, v in enumerate(order):
-        frontier = [u for u in frontier + [v] if until[u] > i]
-        plan.append((v, st.predecessors(v), [u for u in frontier if u != v],
-                     until[v] > i, [u for u in scorer.points if when[u] == i]))
-    pushed_memo = {}
-
-    # (frontier bases, k) -> (least rank, its first choices, bases)
-    layer = {((), 0): (0, (), {})}
-    for v, preds, kept, stays, due in plan:
-        nxt, steps = {}, 0
-        for (_, k), (rank, choices, assign) in layer.items():
-            pushed = _pushed(F, v, preds, assign, pushed_memo)
-            # charged before the superspaces are listed, so that no list
-            # past the cap is ever built
-            steps += _subspace_count(F.p, F.dims[v] - pushed.cols)
-            if steps > EXHAUSTIVE_WORK_CAP:
-                raise SearchSpaceTooLarge(
-                    f"at least {steps} search steps at {v}, over the cap "
-                    f"{EXHAUSTIVE_WORK_CAP} per point")
-            base = {u: assign[u] for u in kept}
-            held = tuple(b.data for b in base.values())
-            rank -= pushed.cols
-            fixed = dict(assign)
-            for c, s in enumerate(_superspaces(pushed)):
-                fixed[v], j = s, k
-                for u in due:
-                    j = scorer.level(u, fixed, j)
-                    if j == len(levels):
-                        break   # F/S is of infinite size, whatever follows
-                else:
-                    key = (held + (s.data,) if stays else held, j)
-                    hit = nxt.get(key)
-                    if hit is None or (rank + s.cols, choices + (c,)) < \
-                            hit[:2]:
-                        nxt[key] = (rank + s.cols, choices + (c,),
-                                    {**base, v: s} if stays else base)
-        layer = nxt
+        succ = [add(v, unit(a, F.r)) if v[a] < F.box else None
+                for a in range(F.r)]
+        rest = [w for w in waiting if w != v and w not in succ]
+        slot = {w: j for j, w in enumerate(waiting)}.get
+        kept = [u for u in held if until[u] > i]
+        step = (slot(v), [slot(w) for w in rest],
+                [(a, slot(w), Mat.zeros(F.dims[w], 0, F.p))
+                 for a, w in enumerate(succ) if w is not None],
+                held, [held.index(u) for u in kept], until[v] > i,
+                [u for u in scorer.points if when[u] == i])
+        layer = _fix_point(scorer, v, layer, step)
+        waiting = rest + [w for w in succ if w is not None]
+        held = kept + [v] if until[v] > i else kept
     return {levels[k]: (rank, choices)
-            for (_, k), (rank, choices, _) in layer.items()}
+            for rank, choices, k, _, _ in layer.values()}
+
+
+def _fix_point(scorer: ns.QuotientScorer, v, layer, step):
+    """The layer of `_least_rank_by_level` after v is fixed. step holds the
+    place of v's pending span, those of the other pending spans kept, and
+    for each successor of v its axis, the place of its pending span and
+    an empty one; then the points whose bases the states hold, the places
+    of those kept, whether v's basis is held too, and the points whose
+    levels are due at v. A successor's span prev + F(v <= w) S(v) depends
+    on the axis, S(v) and prev alone, so it is built once per point under
+    (axis, S(v).data, prev.data): without the axis, w's two predecessors
+    along different axes would share an entry."""
+    F, top = scorer.F, len(scorer.levels)
+    at_v, carried, succ, reads, kept, stays, due = step
+    empty = Mat.zeros(F.dims[v], 0, F.p)
+    edges = [(a, F.edge(v, a), j, zero) for a, j, zero in succ]
+    nxt, steps, memo = {}, 0, {}
+    for rank, choices, k, pending, held in layer.values():
+        pushed = empty if at_v is None else pending[at_v]
+        # charged before the superspaces are listed, so that no list past
+        # the cap is ever built
+        steps += _subspace_count(F.p, F.dims[v] - pushed.cols)
+        if steps > EXHAUSTIVE_WORK_CAP:
+            raise SearchSpaceTooLarge(
+                f"at least {steps} search steps at {v}, over the cap "
+                f"{EXHAUSTIVE_WORK_CAP} per point")
+        rank -= pushed.cols
+        carry = tuple(pending[j] for j in carried)
+        base = tuple(held[j] for j in kept)
+        head = tuple(b.data for b in carry + base)
+        prevs = [(a, A, zero if j is None else pending[j])
+                 for a, A, j, zero in edges]
+        bases = dict(zip(reads, held))
+        for c, s in enumerate(_superspaces(pushed)):
+            bases[v], j = s, k
+            for u in due:
+                j = scorer.level(u, bases, j)
+                if j == top:
+                    break
+            if j == top:
+                continue    # F/S is of infinite size, whatever follows
+            spans = []
+            for a, A, prev in prevs:
+                key = (a, s.data, prev.data)
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = fp.span_basis(itertools.chain(
+                        zip(*prev.data), map(A.apply, zip(*s.data))),
+                        A.rows, F.p)
+                spans.append(hit)
+            spans = tuple(spans)
+            key = (head, tuple(b.data for b in spans),
+                   s.data if stays else None, j)
+            r, ch = rank + s.cols, choices + (c,)
+            hit = nxt.get(key)
+            if hit is None or r < hit[0] or (r == hit[0] and ch < hit[1]):
+                nxt[key] = (r, ch, j, carry + spans,
+                            base + (s,) if stays else base)
+    return nxt
 
 
 def _submodule_at(F: GridModule, choices):
@@ -624,9 +664,10 @@ def closeness_upper_bound(spec, F: GridModule, G: GridModule):
                  for phi in natural_map_space(src, dst)]
         length = sum(dst.dims[v] * src.dims[v] for v in pts)
         memo = {}   # few distinct point matrices recur across the maps
+        zero = st.zero_submodule(src)
         for vec in _combinations(basis, length, src.p):
             phi = _nat_map(src, dst, vec)
-            b = _budget(spec, phi, scorers, memo).total()
+            b = _budget(spec, phi, scorers, memo, zero).total()
             if b < best:
                 best, wit = b, phi
     return best, wit

@@ -13,6 +13,7 @@ arithmetic is exact.
 from __future__ import annotations
 
 import os
+from operator import mul
 
 from .errors import DependentBasis, Infeasible
 
@@ -95,13 +96,10 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         assert self.cols == other.rows and self.p == other.p
         p = self.p
-        ot = list(zip(*other.data)) if other.rows else [()] * other.cols
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % p for col in ot)
-            for row in self.data)
-        if not self.rows:
-            data = ()
-        return Mat(p, self.rows, other.cols, data)
+        cols = list(zip(*other.data)) if other.rows else [()] * other.cols
+        return Mat(p, self.rows, other.cols, tuple(
+            tuple(sum(map(mul, row, col)) % p for col in cols)
+            for row in self.data))
 
     def __add__(self, other: "Mat") -> "Mat":
         assert (self.rows, self.cols, self.p) == (other.rows, other.cols, other.p)
@@ -126,8 +124,8 @@ class Mat:
     def apply(self, vec) -> tuple:
         """Matrix-vector product."""
         assert len(vec) == self.cols
-        return tuple(sum(a * b for a, b in zip(row, vec)) % self.p
-                     for row in self.data)
+        p = self.p
+        return tuple(sum(map(mul, row, vec)) % p for row in self.data)
 
     def transpose(self) -> "Mat":
         return Mat(self.p, self.cols, self.rows, tuple(zip(*self.data)) if self.rows
@@ -162,28 +160,38 @@ def block_diag(mats, p):
 
 # -- elimination -----------------------------------------------------------
 
-def _row_echelon(m: Mat):
-    """Return (reduced row echelon rows as list of lists, pivot column list)."""
-    p = m.p
-    a = [list(row) for row in m.data]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if a[i][c]), None)
-        if pr is None:
+def _reduce(a, ncols, p):
+    """Bring the rows a, lists of entries in [0, p), to reduced row echelon
+    form in place, and return the pivot columns. A pivot of 1 is not scaled,
+    and a row with 0 in the pivot column is not touched."""
+    pivots, n, r = [], len(a), 0
+    for c in range(ncols):
+        for i in range(r, n):
+            if a[i][c]:
+                break
+        else:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = _inv(a[r][c], p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        row = a[i]
+        a[i] = a[r]
+        if row[c] != 1:
+            inv = _inv(row[c], p)
+            row = [x * inv % p for x in row]
+        a[r] = row
+        for i in range(n):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], row)]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == n:
             break
-    return a, pivots
+    return pivots
+
+
+def _row_echelon(m: Mat):
+    """Return (reduced row echelon rows as list of lists, pivot column list)."""
+    a = [list(row) for row in m.data]
+    return a, _reduce(a, m.cols, m.p)
 
 
 def rank(m: Mat) -> int:
@@ -230,15 +238,22 @@ def solvable(m: Mat, b: Mat) -> bool:
 
 
 def column_reduce(m: Mat) -> Mat:
-    """Canonical basis of the column space of m.
+    """Canonical basis of the column space of m (`span_basis` of its
+    columns)."""
+    return span_basis(zip(*m.data), m.rows, m.p)
 
-    Row-reduce mᵀ; its nonzero rows are a canonical (RREF) basis of the row
-    space of mᵀ, i.e. of the column space of m. Deterministic, so two equal
-    subspaces always get identical bases.
+
+def span_basis(vecs, n, p) -> Mat:
+    """Canonical basis of the span of the vectors vecs of F_p^n, entries in
+    [0, p).
+
+    Row-reduce the vectors as rows; the nonzero rows of that RREF are a
+    canonical basis of their span. Deterministic, so two equal subspaces
+    always get identical bases.
     """
-    ech, pivots = _row_echelon(m.transpose())
-    vecs = [ech[i] for i in range(len(pivots))]
-    return Mat.from_cols(vecs, m.rows, m.p)
+    a = [list(x) for x in vecs]
+    k = len(_reduce(a, n, p))
+    return Mat(p, n, k, tuple(zip(*a[:k])) if k else ((),) * n)
 
 
 def quotient_map(sub_basis: Mat, ambient_dim: int) -> Mat:
@@ -258,8 +273,7 @@ def pivot_rows(basis: Mat) -> list:
     """The pivot row of each column of a canonical basis (column_reduce
     form): its first nonzero entry, which is 1 and the only nonzero entry
     of that row."""
-    return [next(i for i, row in enumerate(basis.data) if row[j])
-            for j in range(basis.cols)]
+    return [col.index(1) for col in zip(*basis.data)]
 
 
 def residue(basis: Mat, other: Mat) -> Mat:
@@ -275,8 +289,19 @@ def residue(basis: Mat, other: Mat) -> Mat:
 
 def span_contains(basis: Mat, other: Mat) -> bool:
     """Is colspan(other) inside colspan(basis)? basis must be canonical
-    (column_reduce form); no elimination is done."""
-    return residue(basis, other).is_zero()
+    (column_reduce form); no elimination is done. Each column's residue
+    (`residue`) is read off the pivot rows, where it is 0, up to its first
+    nonzero entry."""
+    if basis.cols == 0:
+        return not any(map(any, other.data))
+    p, pivots = basis.p, pivot_rows(basis)
+    rest = [(i, row) for i, row in enumerate(basis.data) if i not in pivots]
+    for col in zip(*other.data):
+        top = [col[i] for i in pivots]
+        for i, row in rest:
+            if (col[i] - sum(map(mul, row, top))) % p:
+                return False
+    return True
 
 
 def in_span(basis: Mat, vec) -> bool:

@@ -106,21 +106,48 @@ def test_fcf_range_over_cap_exits_at_once(line_file, capsys):
     assert "1000000000001 points, cap 10000" in e["message"]
 
 
+def test_fcf_list_over_cap_exits_at_once(line_file, capsys):
+    ts = ",".join(str(k) for k in range(10001))
+    t0 = time.perf_counter()
+    assert main(["fcf", line_file, "--noise", "cone:1", "--t", ts]) == 4
+    assert time.perf_counter() - t0 < 1
+    e = stderr_json(capsys)
+    assert e["code"] == "resource" and e["location"] == "--t"
+    assert "10001 points, cap 10000" in e["message"]
+    # at the cap the list is answered
+    assert main(["fcf", line_file, "--noise", "cone:1", "--t",
+                 ",".join(str(k) for k in range(10000))]) == 0
+
+
 def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
-    # total dimension 12, but 2825 subspaces at each of the two points, and
-    # the first one fixed stays on the frontier until (1,1): 2825 states,
-    # each with 2825 steps at the second point, past the cap there
+    # total dimension 18: each of the 2825 subspaces at (0,0) is its own
+    # image at (1,0) through the identity edge, so 2825 states reach (0,1),
+    # where the zero edge leaves each of them 2825 subspaces: past the cap
+    # at the twelfth state
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
-        2, Q(1), 1, 2, {(1, 0): 6, (0, 1): 6})))
+        2, Q(1), 1, 2, {(0, 0): 6, (1, 0): 6, (0, 1): 6},
+        {((0, 0), 0): Mat.identity(6, 2), ((0, 0), 1): Mat.zeros(6, 6, 2)})))
     t0 = time.perf_counter()
     assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
                  "--t", "1"]) == 4
     assert time.perf_counter() - t0 < 1
     e = stderr_json(capsys)
     assert e["code"] == "resource"
-    assert e["message"] == "at least 33900 search steps at (1, 0), over " \
+    assert e["message"] == "at least 33900 search steps at (0, 1), over " \
         f"the cap {EXHAUSTIVE_WORK_CAP} per point"
+
+
+def test_fcf_exhaustive_answers_where_no_image_is_pending(tmp_path, capsys):
+    # 2825 subspaces at each of (1,0) and (0,1), whose images at (1,1) = 0
+    # are 0: one state is pending there, and 5,650 steps answer
+    big = tmp_path / "big.mod"
+    big.write_text(write_module(make_module(
+        2, Q(1), 1, 2, {(1, 0): 6, (0, 1): 6})))
+    assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
+                 "--t", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        ["t,value", "0,12", "1,0", "t=1 value=12 exact=true"]
 
 
 def test_fcf_exhaustive_answers_under_its_steps(tmp_path, capsys):

@@ -22,6 +22,7 @@ from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
                          zero_module)
 from pnoise.noise import INFINITE, ConeNoise
 
+import dp_oracle
 from conftest import random_bar, random_line_module, random_sum_module
 from module_checks import check_natural
 from noise_oracle import noise_size_by_candidates, random_specs
@@ -626,14 +627,13 @@ def _dp_steps(monkeypatch, scorer):
     """(n, v): the most search steps `fc._least_rank_by_level` takes at one
     point on the scorer, and the first point v where it takes them. A
     point's steps are the lengths of the `_superspaces` tuples it is handed
-    there, summed; each state's tuple is listed right after its images are
-    pushed to the point."""
-    pushed, lists, steps = fc._pushed, fc._superspaces, {}
+    while `_fix_point` fixes that point, summed."""
+    fix, lists, steps = fc._fix_point, fc._superspaces, {}
     point = []
 
-    def at(F, v, *rest):
+    def at(scorer, v, *rest):
         point[:] = [v]
-        return pushed(F, v, *rest)
+        return fix(scorer, v, *rest)
 
     def counted(U):
         out = lists(U)
@@ -641,7 +641,7 @@ def _dp_steps(monkeypatch, scorer):
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(fc, "_pushed", at)
+        m.setattr(fc, "_fix_point", at)
         m.setattr(fc, "_superspaces", counted)
         fc._least_rank_by_level(scorer)
     v = max(steps, key=steps.get)   # the first point of most steps
@@ -1027,6 +1027,73 @@ def test_specs_without_a_corner_run_the_dp(monkeypatch):
     assert drops > 0 and len(scorers) == 6
     assert all(s.corners is None for s in scorers)
     assert any(len(s.reads(v)) > 1 for s in scorers for v in s.points)
+
+
+def test_least_rank_by_level_matches_the_frontier_bases_dp():
+    # states keyed on pending images merge partial submodules whose
+    # futures agree: each size keeps the least rank and, on a tie, the
+    # first choices, so every witness is the frontier-bases DP's
+    rng = random.Random(46)
+    cases = [(spec, random_line_module(rng, box=rng.randrange(1, 7), p=p,
+                                       maxdim=3, total_cap=7 if p == 2 else 5))
+             for p in (2, 3) for _ in range(8)
+             for spec in map(ns.parse_noise_spec, CORNER_SPECS[1])]
+    cases += [(spec, random_sum_module(rng, r=2, box=rng.randrange(1, 3),
+                                       p=p, summands=rng.randrange(1, 5 - p)))
+              for p in (2, 3) for _ in range(4)
+              for spec in map(ns.parse_noise_spec, CORNER_SPECS[2])]
+    cases += [(NO_CORNER3, random_sum_module(rng, r=3, box=1, p=2,
+                                             summands=rng.randrange(1, 4)))
+              for _ in range(8)]
+    cases += [(spec, F) for F in (ga.hook_module(), ga.staircase_module(),
+                                  ga.plane_example_module())
+              for spec in map(ns.parse_noise_spec, CORNER_SPECS[2])]
+    ts = (Q(0), Q(1, 2), Q(1), Q(3, 2), Q(2), Q(3))
+    sizes, witnesses = set(), 0
+    for spec, F in cases:
+        want = dp_oracle.least_rank_by_frontier_bases(
+            ns.QuotientScorer(spec, F))
+        assert fc._least_rank_by_level(ns.QuotientScorer(spec, F)) == want, \
+            (spec, F.dims)
+        sizes.update(want)
+        for t in ts:
+            hits = [hit for size, hit in want.items() if size < t]
+            if hits:
+                rk, T, _ = minimal_rank_submodule(spec, F, t)
+                S = fc._submodule_at(F, min(hits)[1])
+                assert rk == min(hits)[0] and {
+                    v: b.data for v, b in T.basis.items()} == {
+                    v: b.data for v, b in S.basis.items()}, (spec, F.dims, t)
+                witnesses += 0 < rk < st.rank(F)
+    assert {Q(0), Q(1), Q(2), Q(3)} <= sizes and witnesses > 100
+
+
+def test_both_dps_refuse_a_point_past_the_cap_alike():
+    # two 6-dimensional points joined by an identity edge: each of the
+    # 2825 subspaces at (0,) is its own pending image at (1,), so neither
+    # key merges a state, and the subspaces above them are 32819 steps
+    F = make_module(1, Q(1), 1, 2, {(0,): 6, (1,): 6},
+                    {((0,), 0): Mat.identity(6, 2)})
+    for search in (fc._least_rank_by_level,
+                   dp_oracle.least_rank_by_frontier_bases):
+        with pytest.raises(SearchSpaceTooLarge) as e:
+            search(ns.QuotientScorer(ns.parse_noise_spec("vnorm:1"), F))
+        assert str(e.value) == "at least 32819 search steps at (1,), " \
+            f"over the cap {fc.EXHAUSTIVE_WORK_CAP} per point"
+
+
+def test_pending_images_answer_where_frontier_bases_refuse():
+    # two 6-dimensional points at (1,0) and (0,1) with (1,1) = 0: the
+    # frontier-bases DP keeps S(1,0) up to (1,1) and refuses at (0,1) with
+    # 2825 states, but S(1,0)'s image at (1,1) is 0, so the pending-image
+    # DP keeps one state there. Every pair of subspaces is a closed
+    # submodule, and at size 1 S = 0 suffices
+    F = make_module(2, Q(1), 1, 2, {(1, 0): 6, (0, 1): 6})
+    spec = ns.parse_noise_spec("vnorm:1,0;0,1")
+    with pytest.raises(SearchSpaceTooLarge, match="at least 33900 search"):
+        dp_oracle.least_rank_by_frontier_bases(ns.QuotientScorer(spec, F))
+    assert _least_rank_by_dp(ns.QuotientScorer(spec, F)) == \
+        {Q(0): 12, Q(1): 0}
 
 
 def _walk_witnesses(spec, F, ts):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import field_oracle as oracle
+from pnoise import field as fp
 from pnoise.errors import DependentBasis, Infeasible
 from pnoise.field import (Mat, block_diag, column_reduce, default_prime,
                           in_span, is_prime, kernel_basis, quotient_map,
@@ -176,3 +178,47 @@ def test_enumerate_consistency_with_bruteforce_rank():
                 if not dep:
                     best = max(best, k)
         assert rank(m) == best
+
+
+def _any_mat(rng, p, rows, cols):
+    """A rows x cols matrix, zero rows or columns allowed, of a random rank
+    and density: a product through a random inner size, its entries thinned
+    to zeros at a random rate."""
+    inner = rng.randrange(max(rows, cols) + 1)
+    m = Mat(p, rows, inner, tuple(tuple(rng.randrange(p) for _ in range(inner))
+                                  for _ in range(rows))) @ \
+        Mat(p, inner, cols, tuple(tuple(rng.randrange(p) for _ in range(cols))
+                                  for _ in range(inner)))
+    if inner == 0 or rng.random() < 0.3:
+        keep = rng.random()
+        m = Mat(p, rows, cols, tuple(
+            tuple(rng.randrange(p) if rng.random() < keep else 0
+                  for _ in range(cols)) for _ in range(rows)))
+    return m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_kernels_match_the_first_written_ones(p):
+    # byte for byte: the bases key memos and order the witnesses
+    rng = random.Random(100 + p)
+    inside = outside = 0
+    for _ in range(600):
+        rows, cols = rng.randrange(6), rng.randrange(6)
+        m = _any_mat(rng, p, rows, cols)
+        assert fp._row_echelon(m) == oracle.row_echelon(m)
+        got, want = column_reduce(m), oracle.column_reduce(m)
+        assert (got.rows, got.cols, got.data) == \
+            (want.rows, want.cols, want.data)
+        assert fp.pivot_rows(got) == oracle.pivot_rows(want)
+        n = _any_mat(rng, p, cols, rng.randrange(6))
+        got, want = m @ n, oracle.matmul(m, n)
+        assert (got.rows, got.cols, got.data) == \
+            (want.rows, want.cols, want.data)
+        # colspan(m n) lies in colspan(m); a random matrix mostly does not
+        basis = column_reduce(m)
+        for other in (m @ n, _any_mat(rng, p, rows, rng.randrange(6))):
+            held = span_contains(basis, other)
+            assert held == oracle.span_contains(basis, other)
+            inside += held
+            outside += not held
+    assert inside > 300 and outside > 150

@@ -3,21 +3,33 @@ closed submodule of a module, listed one by one in the order whose first
 least-rank member `fcf.minimal_rank_submodule` returns."""
 
 from pnoise import fcf as fc
+from pnoise import field as fp
 from pnoise import noise as ns
 from pnoise import structure as st
 from pnoise.errors import SearchSpaceTooLarge
 
 
+def pushed_images(F, v, preds, assign, memo):
+    """The canonical basis of the images in F(v) of S at v's predecessors
+    preds, their bases in assign; memo maps (v, those bases) to it, as it
+    depends on nothing else."""
+    key = (v, tuple(assign[u].data for u, _ in preds))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = fp.column_reduce(st.predecessor_images(F, v, assign))
+    return hit
+
+
 def _images_at(F, v, layer, pushed_memo):
     """For each partial choice of S before v, given by its bases at v's
-    predecessors: the image of S's predecessors in F(v) (`fc._pushed`).
+    predecessors: the image of S's predecessors in F(v) (`pushed_images`).
     Every subspace of F(v) containing it completes to at least one closed
     submodule, so their number, summed over the layer, is capped at
     EXHAUSTIVE_WORK_CAP before any is chosen."""
     preds = st.predecessors(v)
     out, total = [], 0
     for assign in layer:
-        pushed = fc._pushed(F, v, preds, assign, pushed_memo)
+        pushed = pushed_images(F, v, preds, assign, pushed_memo)
         total += fc._subspace_count(F.p, F.dims[v] - pushed.cols)
         if total > fc.EXHAUSTIVE_WORK_CAP:
             raise SearchSpaceTooLarge(
