@@ -337,9 +337,6 @@ def main(argv=None) -> int:
     except SearchSpaceTooLarge as e:
         _emit_error("resource", str(e), None)
         return EXIT_RESOURCE
-    except ValidationError as e:
-        _emit_error("validation", str(e), None)
-        return EXIT_VALIDATION
     except PnoiseError as e:
         _emit_error("validation", str(e), None)
         return EXIT_VALIDATION

@@ -16,9 +16,10 @@ from . import noise as ns
 from . import structure as st
 from .errors import SearchSpaceTooLarge, UnsupportedNoise
 from .grid import GridModule, add, unit
+from .record import Record
 
 
-class Denoising:
+class Denoising(Record):
     """A denoised module at level t, with its mode, whether its rank is
     certified minimal, and that rank. Immutable by convention."""
     __slots__ = ("t", "module", "mode", "certified", "rank")
@@ -29,21 +30,6 @@ class Denoising:
         self.mode = mode            # "quotient" | "subfunctor"
         self.certified = certified
         self.rank = rank
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.t, self.module, self.mode, self.certified, self.rank) == \
-            (other.t, other.module, other.mode, other.certified, other.rank)
-
-    def __hash__(self):
-        return hash((self.t, self.module, self.mode, self.certified,
-                     self.rank))
-
-    def __repr__(self):
-        return (f"Denoising(t={self.t!r}, module={self.module!r}, "
-                f"mode={self.mode!r}, certified={self.certified!r}, "
-                f"rank={self.rank!r})")
 
 
 def _exact_bar_value(spec, F, t):

@@ -43,6 +43,7 @@ from .field import Mat
 from .grid import (GridModule, add, clip, evaluate_map, modules_equal,
                    require_same_shape, unit)
 from .noise import INFINITE
+from .record import Record
 
 # search steps the exhaustive DP may take at one point, one per (state,
 # subspace) pair it scores there, a state being the pending images, the
@@ -56,7 +57,7 @@ ORBIT_COMBO_CAP = 2 ** 12
 # -- step functions --------------------------------------------------------
 
 
-class FeatureCountingFunction:
+class FeatureCountingFunction(Record):
     """Non-increasing step function. Each breakpoint is (t, value,
     drop_after); with drop_after the new value only applies strictly after
     t, which lets e.g. a bar count keep its old value AT the drop point.
@@ -76,17 +77,6 @@ class FeatureCountingFunction:
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise ValueError("values must be non-increasing")
         self.breakpoints = breakpoints
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.breakpoints,) == (other.breakpoints,)
-
-    def __hash__(self):
-        return hash((self.breakpoints,))
-
-    def __repr__(self):
-        return f"FeatureCountingFunction(breakpoints={self.breakpoints!r})"
 
     def value(self, t):
         t = Fraction(t)
@@ -152,7 +142,7 @@ def fcf_interleaving_distance(f: FeatureCountingFunction,
 # -- equivalence budgets ---------------------------------------------------
 
 
-class EquivalenceBudget:
+class EquivalenceBudget(Record):
     """Noise sizes of a map's kernel and cokernel. Immutable by
     convention."""
     __slots__ = ("tau", "mu")
@@ -160,17 +150,6 @@ class EquivalenceBudget:
     def __init__(self, tau, mu):
         self.tau = tau  # Fraction or INFINITE; noise size of the kernel
         self.mu = mu    # noise size of the cokernel
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tau, self.mu) == (other.tau, other.mu)
-
-    def __hash__(self):
-        return hash((self.tau, self.mu))
-
-    def __repr__(self):
-        return f"EquivalenceBudget(tau={self.tau!r}, mu={self.mu!r})"
 
     def total(self):
         if INFINITE in (self.tau, self.mu):
@@ -501,7 +480,7 @@ def _orbit_value(spec, F: GridModule, t):
 # -- the public search -----------------------------------------------------
 
 
-class BarFunction:
+class BarFunction(Record):
     """A bar search's answer: the step function, one exactness flag per
     requested sample point, and the engine. Immutable by convention."""
     __slots__ = ("fcf", "flags", "engine")
@@ -510,19 +489,6 @@ class BarFunction:
         self.fcf = fcf
         self.flags = flags  # ((t, exact_bool), ...) at the sample points
         self.engine = engine
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.fcf, self.flags, self.engine) == \
-            (other.fcf, other.flags, other.engine)
-
-    def __hash__(self):
-        return hash((self.fcf, self.flags, self.engine))
-
-    def __repr__(self):
-        return (f"BarFunction(fcf={self.fcf!r}, flags={self.flags!r}, "
-                f"engine={self.engine!r})")
 
     def value(self, t):
         return self.fcf.value(t)

@@ -2,8 +2,9 @@
 
 Matrices are tuple-of-tuples (row major) and carry their modulus. They are
 immutable by convention: every record class of the package is a plain
-`__slots__` class with no guard against assignment, so construction stays
-cheap, and no code assigns to a record's field after `__init__`.
+`__slots__` class deriving from `record.Record`, which gives it equality,
+hash and repr from its fields. No guard stops assignment, so construction
+stays cheap, and no code assigns to a record's field after `__init__`.
 Everything downstream (edge maps, naturality systems, subspace enumeration)
 runs through this module, so the pivot rule is fixed once and for all:
 first nonzero entry in column order, no tie breaking needed since the
@@ -16,6 +17,7 @@ import os
 from operator import mul
 
 from .errors import DependentBasis, Infeasible
+from .record import Record
 
 DEFAULT_PRIME = 2
 
@@ -42,7 +44,7 @@ def _inv(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-class Mat:
+class Mat(Record):
     """A rows x cols matrix over F_p. Immutable by convention."""
     __slots__ = ("p", "rows", "cols", "data")
 
@@ -51,19 +53,6 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.data = data  # tuple of row tuples, entries in [0, p)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.rows, self.cols, self.data) == \
-            (other.p, other.rows, other.cols, other.data)
-
-    def __hash__(self):
-        return hash((self.p, self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return (f"Mat(p={self.p!r}, rows={self.rows!r}, cols={self.cols!r}, "
-                f"data={self.data!r})")
 
     # -- constructors ------------------------------------------------------
 

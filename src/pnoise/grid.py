@@ -16,6 +16,7 @@ from . import field as fp
 from .errors import (IncompatibleShape, NonCommutingSquare, NotComparable,
                      OutOfBox, ShapeMismatch)
 from .field import Mat
+from .record import Record
 
 
 def box_points(r, box):
@@ -35,7 +36,7 @@ def add(v, w):
     return tuple(a + b for a, b in zip(v, w))
 
 
-class Bar:
+class Bar(Record):
     """Interval summand [start, end); end=None encodes a free summand
     K(start,-). Immutable by convention."""
     __slots__ = ("start", "end")
@@ -46,19 +47,8 @@ class Bar:
         self.start = start
         self.end = end
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.end) == (other.start, other.end)
 
-    def __hash__(self):
-        return hash((self.start, self.end))
-
-    def __repr__(self):
-        return f"Bar(start={self.start!r}, end={self.end!r})"
-
-
-class GridModule:
+class GridModule(Record):
     """A module on the lattice alpha*{0..box}^r. Immutable by convention:
     no code changes its fields or its dicts after construction."""
     __slots__ = ("r", "alpha", "box", "p", "dims", "edges")
@@ -79,11 +69,6 @@ class GridModule:
     def __hash__(self):
         # equal modules share their shape; the dicts are not hashable
         return hash((self.r, self.alpha, self.box, self.p))
-
-    def __repr__(self):
-        return (f"GridModule(r={self.r!r}, alpha={self.alpha!r}, "
-                f"box={self.box!r}, p={self.p!r}, dims={self.dims!r}, "
-                f"edges={self.edges!r})")
 
     def dim(self, v):
         return self.dims[clip(v, self.box)]
@@ -190,7 +175,7 @@ def indicator_module(alive, box, p, r, alpha=Fraction(1)):
 def make_free(v, box, alpha, p, r=None):
     """Free module K(v,-): dim 1 on the up-set of v, identity edges."""
     r = len(v) if r is None else r
-    if not leq(v, (box,) * r):
+    if len(v) != r or not leq(v, (box,) * r):
         raise OutOfBox(f"{v} outside box {box}")
     return indicator_module(lambda u: leq(v, u), box, p, r, alpha)
 
@@ -200,7 +185,8 @@ def make_bar(bar: Bar, box, alpha, p, r=None):
     r = len(bar.start) if r is None else r
     if bar.end is None:
         return make_free(bar.start, box, alpha, p, r)
-    if not leq(bar.start, (box,) * r) or not leq(bar.end, (box + 1,) * r):
+    if len(bar.start) != r or len(bar.end) != r or \
+            not leq(bar.start, (box,) * r) or not leq(bar.end, (box + 1,) * r):
         raise OutOfBox(f"{bar} outside box {box}")
     return indicator_module(
         lambda u: leq(bar.start, u) and not leq(bar.end, u), box, p, r, alpha)

@@ -15,7 +15,8 @@ offsets and the closure-under-sums test all start from it.
 
 Their one kill test is `_point_test`: x in F(v) dies in F/S along m when
 F(v <= v+m)x lies in S(v+m). It decides by linear algebra whether the
-classes that die along some m cover F(v)/S(v), listing no element.
+elements that die along some m cover F(v), listing no element: for a
+closed S each of their subspaces contains S(v), so S(v) is not read.
 `quotient_size` sizes F/S, F, or a closed K/0 (the kernel of a map out of
 F) for every kind of spec, building no module: domain and dimension specs
 read only the quotient's dimensions, an intersection its largest part
@@ -52,6 +53,7 @@ from . import polyhedra as ph
 from .errors import NotClosedUnderSums, ParseError, UnsupportedNoise
 from .field import Mat
 from .grid import GridModule, add, box_points, clip, evaluate_map, leq
+from .record import Record
 from .structure import Submodule, zero_submodule
 
 INFINITE = float("inf")
@@ -60,7 +62,7 @@ INFINITE = float("inf")
 # -- spec types ------------------------------------------------------------
 
 
-class ConeNoise:
+class ConeNoise(Record):
     """Shifts along the cone spanned by the generators, sup-norm sized.
     Immutable by convention."""
     __slots__ = ("generators",)
@@ -80,23 +82,12 @@ class ConeNoise:
                 raise ValueError("cone generators must be componentwise >= 0")
         self.generators = generators
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.generators,) == (other.generators,)
-
-    def __hash__(self):
-        return hash((self.generators,))
-
-    def __repr__(self):
-        return f"ConeNoise(generators={self.generators!r})"
-
     @property
     def r(self):
         return len(self.generators[0])
 
 
-class VNormNoise:
+class VNormNoise(Record):
     """Shifts measured by the smallest max-coefficient representation
     w = sum a_k v_k with a_k >= 0. Immutable by convention."""
     __slots__ = ("vectors",)
@@ -114,23 +105,12 @@ class VNormNoise:
                 raise ValueError("vectors must be componentwise >= 0")
         self.vectors = vectors
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vectors,) == (other.vectors,)
-
-    def __hash__(self):
-        return hash((self.vectors,))
-
-    def __repr__(self):
-        return f"VNormNoise(vectors={self.vectors!r})"
-
     @property
     def r(self):
         return len(self.vectors[0])
 
 
-class DomainNoise:
+class DomainNoise(Record):
     """F is eps-small when its support sits inside the region at level eps.
 
     steps: ((eps, boxes), ...) sorted by eps; boxes are half-open
@@ -149,17 +129,6 @@ class DomainNoise:
                     raise ValueError("domain regions must be nested in eps")
         self.steps = steps
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps,) == (other.steps,)
-
-    def __hash__(self):
-        return hash((self.steps,))
-
-    def __repr__(self):
-        return f"DomainNoise(steps={self.steps!r})"
-
     def region(self, eps):
         best = ()
         for e, boxes in self.steps:
@@ -168,7 +137,7 @@ class DomainNoise:
         return best
 
 
-class DimensionNoise:
+class DimensionNoise(Record):
     """F is eps-small when dim F(v) <= n(eps) everywhere.
 
     steps: ((eps, n), ...) sorted; the threshold is the value at the largest
@@ -197,17 +166,6 @@ class DimensionNoise:
                     raise ValueError(
                         f"thresholds not superadditive at {a}+{b}")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.steps,) == (other.steps,)
-
-    def __hash__(self):
-        return hash((self.steps,))
-
-    def __repr__(self):
-        return f"DimensionNoise(steps={self.steps!r})"
-
     def threshold(self, eps):
         n = 0
         for e, val in self.steps:
@@ -216,7 +174,7 @@ class DimensionNoise:
         return n
 
 
-class Intersection:
+class Intersection(Record):
     """eps-small for every part at once. Immutable by convention."""
     __slots__ = ("parts",)
 
@@ -224,17 +182,6 @@ class Intersection:
         if not parts:
             raise ValueError("need at least one part")
         self.parts = parts
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parts,) == (other.parts,)
-
-    def __hash__(self):
-        return hash((self.parts,))
-
-    def __repr__(self):
-        return f"Intersection(parts={self.parts!r})"
 
 
 # -- offset costs ----------------------------------------------------------
@@ -505,51 +452,44 @@ class QuotientScorer:
 
 def _point_within(scorer: QuotientScorer, bases, v, k, K=None):
     """Is the point v of F/S (of K/0, given K's bases) within level
-    levels[k], S's bases in `bases`? The test reads S(w) at a quiet corner
-    w, else S(v) and each S(w_m), and K(v) if given; its verdict is
-    memoised in the scorer on those bases."""
+    levels[k], S's bases in `bases`? The test reads S(w) at the end w of
+    each kill path, the quiet corner's or each maximal offset's, and K(v)
+    if given; its verdict is memoised in the scorer on those bases."""
     maximal, corner, corner_ok = scorer.kills[k]
     paths = [scorer.path(v, m) for m in ((corner,) if corner_ok else maximal)]
-    reads = ([] if corner_ok else [v]) + [w for w, _ in paths]
-    key = (v, k, tuple(bases[u].data for u in reads))
+    key = (v, k, tuple(bases[w].data for w, _ in paths))
     if K is not None:
         key += (K[v].data,)
     hit = scorer._verdicts.get(key)
     if hit is None:
         if K is not None:   # the elements of K/0 at v are K(v)'s coordinates
             paths = [(w, A @ K[v]) for w, A in paths]
-        hit = scorer._verdicts[key] = _point_test(bases, v, corner_ok, paths)
+        hit = scorer._verdicts[key] = _point_test(bases, paths)
     return hit
 
 
-def _point_test(bases, v, corner_ok, paths):
-    """The kill test of the point v of F/S, S's bases in `bases`, along the
-    given paths, the quiet corner's or each maximal offset's, on the
+def _point_test(bases, paths):
+    """The kill test of a point v of F/S, S closed with its bases in
+    `bases`, along the given paths (w_m, F(v <= w_m)), on the f
     coordinates of their columns.
 
-    Without a quiet corner, the class of x (supported on the f non-pivot
-    rows of S(v)'s basis) dies along m iff R_m x = 0, R_m the residue of
-    F(v <= w_m) modulo S(w_m) on those rows; the point passes iff the
-    kernels K_m cover F_p^f. It does when f = 0 or some R_m = 0. It does
-    not when n <= p kernels are proper: a space over F_p is not a union of
-    p or fewer proper subspaces (P. L. Clark, Covering numbers in linear
-    algebra, Amer. Math. Monthly 119, 2012). Else inclusion-exclusion
-    counts the union, |K_T| = p^(f - rank of the R_m stacked over T) for
-    each nonempty set T of them: 2^n - 1 ranks, and no element listed."""
-    if corner_ok:
-        (w, A), = paths
-        return fp.span_contains(bases[w], A)
-    pivots = fp.pivot_rows(bases[v])    # F-coordinates: none when S = 0
-    free = [i for i in range(paths[0][1].cols) if i not in pivots]
+    x dies along m iff R_m x = 0, R_m the residue of F(v <= w_m) modulo
+    S(w_m); the point passes iff the kernels K_m cover F_p^f. Each K_m
+    contains S(v), as S is closed, so this is the test on F(v)/S(v), and
+    S(v) is not read. It passes when some R_m = 0, which decides a single
+    path. It fails when n <= p kernels are proper: a space over F_p is not
+    a union of p or fewer proper subspaces (P. L. Clark, Covering numbers
+    in linear algebra, Amer. Math. Monthly 119, 2012). Else
+    inclusion-exclusion counts the union, |K_T| = p^(f - rank of the R_m
+    stacked over T) for each nonempty set T of them: 2^n - 1 ranks, and no
+    element listed."""
     residues = []
     for w, A in paths:
         R = fp.residue(bases[w], A)
-        R = Mat(R.p, R.rows, len(free), tuple(
-            tuple(row[i] for i in free) for row in R.data))
         if R.is_zero():
             return True
         residues.append(R)
-    p, f = residues[0].p, len(free)
+    p, f = residues[0].p, residues[0].cols
     if len(residues) <= p:
         return False
     covered = 0
@@ -574,8 +514,7 @@ def quotient_size(scorer: QuotientScorer, S: Submodule, K=None):
     the points finds the size: each point's first passing level from the
     level so far (`QuotientScorer.level`). With quiet corners that level is
     memoised on (v, S(v).data); otherwise the kill test (`_point_test`)
-    runs on the classes of F(v)/S(v), read on the non-pivot rows of S(v)'s
-    basis (on K(v)'s coordinates for K/0)."""
+    runs on all of F(v) (on K(v)'s coordinates for K/0)."""
     F, levels = scorer.F, scorer.levels
     if K is not None and any(S.basis[v].cols for v in F.points()):
         raise ValueError("a submodule K is sized only over S = 0")

@@ -13,9 +13,10 @@ from . import field as fp
 from .errors import NotClosed
 from .field import Mat
 from .grid import GridModule, add, evaluate_map, leq, unit
+from .record import Record
 
 
-class NatMap:
+class NatMap(Record):
     """A natural map source -> target, one matrix per lattice point.
     Immutable by convention; unhashable, since mats is a dict."""
     __slots__ = ("source", "target", "mats")
@@ -25,21 +26,8 @@ class NatMap:
         self.target = target
         self.mats = mats  # point -> Mat
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.mats) == \
-            (other.source, other.target, other.mats)
 
-    def __hash__(self):
-        return hash((self.source, self.target, self.mats))
-
-    def __repr__(self):
-        return (f"NatMap(source={self.source!r}, target={self.target!r}, "
-                f"mats={self.mats!r})")
-
-
-class Submodule:
+class Submodule(Record):
     """A subfunctor of parent, one basis per lattice point. Immutable by
     convention; unhashable, since basis is a dict."""
     __slots__ = ("parent", "basis")
@@ -47,17 +35,6 @@ class Submodule:
     def __init__(self, parent, basis):
         self.parent = parent
         self.basis = basis  # point -> Mat, independent column-reduced columns
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.parent, self.basis) == (other.parent, other.basis)
-
-    def __hash__(self):
-        return hash((self.parent, self.basis))
-
-    def __repr__(self):
-        return f"Submodule(parent={self.parent!r}, basis={self.basis!r})"
 
     def dim(self, v):
         return self.basis[v].cols

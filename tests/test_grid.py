@@ -118,6 +118,22 @@ def test_make_bar_out_of_box():
         make_bar(Bar((5,), (6,)), 3, Q(1), 2)
 
 
+def test_points_of_the_wrong_length_are_out_of_box():
+    # `leq` zips, so a short point would be read as a prefix: the bar would
+    # die along the first axis only, the free module would fill the box
+    for build in (lambda: make_bar(Bar((0, 0), (1,)), 2, Q(1), 2),
+                  lambda: make_bar(Bar((0,), (1, 1)), 2, Q(1), 2),
+                  lambda: make_bar(Bar((0,), (1,)), 2, Q(1), 2, r=2),
+                  lambda: make_bar(Bar((0, 0, 0), (1, 1, 1)), 2, Q(1), 2, r=2),
+                  lambda: make_bar(Bar((0,)), 2, Q(1), 2, r=2),
+                  lambda: make_free((0,), 2, Q(1), 2, r=2),
+                  lambda: make_free((0, 0, 0), 2, Q(1), 2, r=2)):
+        with pytest.raises(OutOfBox):
+            build()
+    assert make_bar(Bar((0, 0), (1, 1)), 2, Q(1), 2, r=2).total_dim() == 5
+    assert make_free((0,), 2, Q(1), 2, r=1).total_dim() == 3
+
+
 def test_translate_zero_is_identity_up_to_presentation():
     F = make_bar(Bar((0,), (2,)), 3, Q(1), 2)
     T = translate(F, (Q(0),))

@@ -16,6 +16,7 @@ from pnoise.noise import (INFINITE, ConeNoise, DimensionNoise, DomainNoise,
                           max_noise_submodule, noise_size, parse_noise_spec)
 
 from conftest import random_line_module, random_sum_module
+from module_checks import is_closed
 from noise_oracle import (contains_by_rules, noise_size_by_candidates,
                           point_passes_by_enumeration, random_specs)
 from walk_oracle import enumerate_submodules
@@ -389,7 +390,7 @@ def test_point_test_matches_enumeration_on_random_kernels():
                                             rng.randint(p + 1, p + 3)))
         for bases, paths in cases:
             n = len(paths)
-            got = noise._point_test(bases, "v", False, paths)
+            got = noise._point_test(bases, paths)
             assert got == point_passes_by_enumeration(bases, "v", paths, p), \
                 (p, paths)
             seen.add((p, got, n == p + 1))
@@ -421,7 +422,7 @@ def test_point_test_matches_enumeration_on_closed_submodules():
                 for k in levels:
                     maximal = scorer.kills[k][0]
                     paths = [scorer.path(v, m) for m in maximal]
-                    got = noise._point_test(basis, v, False, paths)
+                    got = noise._point_test(basis, paths)
                     assert got == point_passes_by_enumeration(
                         basis, v, paths, F.p), (F.dims, basis, v, k)
                     verdicts.add((len(maximal), got))
@@ -429,25 +430,30 @@ def test_point_test_matches_enumeration_on_closed_submodules():
 
 
 def test_point_verdicts_are_keyed_on_every_basis_they_read():
-    # for a closed S the verdict does not depend on S(v), but the test reads
-    # it: two bases that differ only at v, the second not closed, get
-    # different verdicts, and the memo must not hand out the first one
-    # e1 dies along (1, 1, 0) and lives along (1, 0, 1), e2 the other way
-    F = direct_sum(make_bar(Bar((0, 0, 0), (1, 1, 0)), 1, Q(1), 2, 3),
-                   make_bar(Bar((0, 0, 0), (1, 0, 1)), 1, Q(1), 2, 3))
+    # for a closed S each kernel contains S(v), so the verdict reads only the
+    # S(w_m): two closed submodules that differ only at v share one memoised
+    # verdict. e1 dies along (1, 1, 0) and lives along (1, 0, 1), e2 the
+    # other way, and e3 lives throughout; S is spanned by e3 off v, and by e3
+    # at v too or not, so neither e1 + e2 nor e1 + e2 + e3 dies: both fail
+    F = direct_sum(direct_sum(
+        make_bar(Bar((0, 0, 0), (1, 1, 0)), 1, Q(1), 2, 3),
+        make_bar(Bar((0, 0, 0), (1, 0, 1)), 1, Q(1), 2, 3)),
+        make_free((0, 0, 0), 1, Q(1), 2, 3))
     scorer = noise.QuotientScorer(NO_CORNER3, F)
     k = scorer.levels.index(Q(1))
     maximal, _, corner_ok = scorer.kills[k]
     assert not corner_ok and sorted(maximal) == [(1, 0, 1), (1, 1, 0)]
-    zero = st.zero_submodule(F).basis
-    answers = []
-    for Sv in (Mat.zeros(2, 0, 2), Mat.from_cols([(1, 1)], 2, 2)):
-        bases = {**zero, (0, 0, 0): Sv}
-        paths = [scorer.path((0, 0, 0), m) for m in maximal]
-        want = noise._point_test(bases, (0, 0, 0), False, paths)
-        assert noise._point_within(scorer, bases, (0, 0, 0), k) == want
-        answers.append(want)
-    assert answers == [False, True]
+    v = (0, 0, 0)
+    S = st.span_submodule(F, [(v, (0, 0, 1))])
+    T = st.Submodule(F, {**S.basis, v: Mat.zeros(3, 0, 2)})
+    paths = [scorer.path(v, m) for m in maximal]
+    for U in (S, T):
+        assert is_closed(U)
+        want = point_passes_by_enumeration(U.basis, v, paths, 2)
+        assert noise._point_test(U.basis, paths) is want is False
+        assert noise._point_within(scorer, U.basis, v, k) is want
+    assert S.basis[v] != T.basis[v]
+    assert len(scorer._verdicts) == 1
 
 
 # -- closure under sums ----------------------------------------------------

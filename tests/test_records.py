@@ -1,7 +1,7 @@
-"""The hand-written record classes against their former frozen dataclasses
-(kept in `dataclass_records.py` as the oracle): the same fields and
-defaults, equality, hashing, `repr`, set and dict order, and the same
-refusals."""
+"""The record classes (hand-written `__init__`s on `record.Record`) against
+their former frozen dataclasses (kept in `dataclass_records.py` as the
+oracle): the same fields and defaults, equality, hashing, `repr`, set and
+dict order, and the same refusals."""
 
 import dataclasses
 import random
@@ -13,6 +13,7 @@ import pytest
 import dataclass_records as OLD
 from pnoise import denoise, fcf, field, grid, noise, structure
 from pnoise.noise import INFINITE
+from pnoise.record import Record
 
 from conftest import random_line_module
 
@@ -153,6 +154,11 @@ def test_fields_and_defaults_match(name):
     new, old = getattr(NEW, name), getattr(OLD, name)
     fields = tuple(f.name for f in dataclasses.fields(old))
     assert new.__slots__ == fields
+    # one equality, hash and repr serve every record: only GridModule keeps
+    # its own equality (`modules_equal`) and hash (its shape)
+    own = {"__eq__", "__hash__"} if name == "GridModule" else set()
+    assert issubclass(new, Record)
+    assert {"__eq__", "__hash__", "__repr__"} & set(vars(new)) == own
     code = new.__init__.__code__
     assert code.co_varnames[1:code.co_argcount] == fields
     assert new.__init__.__defaults__ == old.__init__.__defaults__
