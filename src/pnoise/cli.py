@@ -151,15 +151,9 @@ def cmd_fcf(args):
     F = _load_module(args.module)
     spec = _parse_spec(args.noise)
     ts = _parse_t_list(args.t) if args.t else []
-    if args.engine == "exact" and F.r == 1:
-        # the closed form refuses what the exhaustive search refuses, and
-        # answers with its step function at its sample points
-        fcf = fc.bar_r1(spec, F)
-        flags = [(t, True) for t in sorted(set(ts))]
-    else:
-        engine = "exhaustive" if args.engine == "exact" else "orbit"
-        out = fc.bar_search(spec, F, ts, engine=engine)
-        fcf, flags = out.fcf, out.flags
+    engine = "exhaustive" if args.engine == "exact" else "orbit"
+    out = fc.bar_search(spec, F, ts, engine=engine)
+    fcf, flags = out.fcf, out.flags
     _write_out(fc.fcf_to_csv(fcf), args.csv)
     for t, exact in flags:
         print(f"t={mf._fmt_q(t)} value={fcf.value(t)} "

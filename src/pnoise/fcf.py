@@ -9,11 +9,20 @@ bound). Every search, here and in denoising, builds one
 `noise.QuotientScorer` per (spec, F) and sizes F/S from S's bases with no
 quotient built: a point's first passing level, found from the level so
 far (`QuotientScorer.level`), reads S at that point alone when every level
-has a quiet corner, and at the ends of its kill paths otherwise. The
-exhaustive search scores no submodule one by one: rank(S) and the largest
-first level both grow point by point along the grid, so a dynamic program
-keeps one least rank per (pending images, bases read later, level so far),
-together with the choices that reach it first in enumeration order
+has a quiet corner, and at the ends of its kill paths otherwise.
+
+With quiet corners, bar(F) just past levels[J] is the least rank of a
+closed S containing the floor T_J (see the `noise` docstring), and
+`_floor_bounds` brackets it from below by the best rank of T_J along a
+saturated chain and from above by rank T_J. The exhaustive `bar_search`
+takes T_J's rank where the two agree at every level, as they always do at
+r=1, and runs the frontier DP only where some level's bounds differ, or
+without quiet corners; `minimal_rank_submodule` always runs it, since its
+witness is the DP's first least-rank S. The frontier DP scores no
+submodule one by one: rank(S) and the largest first level both grow
+point by point along the grid, so a dynamic program keeps one least rank
+per (pending images, bases read later, level so far), together with the
+choices that reach it first in enumeration order
 (`_least_rank_by_level`). The pending images at an unfixed point are the
 span there of the images of S's fixed predecessors; they and the bases a
 later level reads (none with quiet corners) are all that later points
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import barcode as bc
 from . import field as fp
@@ -49,7 +58,8 @@ from .record import Record
 # subspace) pair it scores there, a state being the pending images, the
 # bases read later and the level so far; each state's steps are charged
 # before its subspaces are listed. A point's steps are at most the partial
-# submodules fixed up to it, so at most the closed submodules
+# submodules fixed up to it, so at most the closed submodules. bar_search
+# runs the DP, and meets this cap, only where the floor bounds differ
 EXHAUSTIVE_WORK_CAP = 2 ** 15
 ORBIT_COMBO_CAP = 2 ** 12
 
@@ -401,6 +411,58 @@ def _fix_point(scorer: ns.QuotientScorer, v, layer, step):
     return nxt
 
 
+def _floor_bounds(scorer: ns.QuotientScorer):
+    """[(LB_J, UB_J)] at each level J of a scorer with quiet corners: bounds
+    on the least rank of a closed S that contains the floor T_J, which is
+    bar(F) just past levels[J] (see the `noise` docstring for T_J).
+    - UB_J = rank T_J: T_J is itself such an S.
+    - LB_J = the largest rank of T_J restricted to a saturated chain C from
+      0 to (box, ..., box). Restricting to C does not raise rank, as each
+      generator of S counts at the first point of C above it; over the PID
+      F_p[t] a graded submodule of an n-generated module is n-generated.
+      So rank(T_J|C) <= rank(S|C) <= rank S. rank(T_J|C) sums, over the
+      points w of C, dim T_J(w) - rank F(v*_J(u) <= w) for u the point
+      before w, so the best chain is one longest-path pass in `order`. At
+      r=1 the grid is the one chain, and LB_J = UB_J.
+    One pass over the levels moves each point's source v*_J(w) at the
+    levels `scorer.sources` names; the rank of the span at w of the maps
+    out of a tuple of sources is memoised on them."""
+    F = scorer.F
+    order = st.order(F.points())
+    preds = {w: [u for u, _ in st.predecessors(w)] for w in order}
+    moves = [[] for _ in scorer.levels]
+    for w in scorer.points:
+        for k, v in scorer.sources(w):
+            moves[k].append((w, v))
+    src = {w: w if F.dims[w] else None for w in order}   # None: T_J(w) = 0
+    ranks = {}
+
+    def rank(us, w):
+        hit = ranks.get((us, w))
+        if hit is None:
+            hit = ranks[(us, w)] = fp.rank(
+                reduce(Mat.hstack, [scorer.map(u, w) for u in us]))
+        return hit
+
+    out = []
+    for moved in moves:
+        src.update(moved)
+        ub, chain = 0, {}
+        for w in order:
+            ps = preds[w]
+            if src[w] is None:
+                chain[w] = max((chain[u] for u in ps), default=0)
+                continue
+            dim = rank((src[w],), w)
+            ins = tuple(src[u] for u in ps if src[u] is not None)
+            ub += dim - (rank(ins, w) if ins else 0)
+            chain[w] = dim + max(
+                (chain[u] - (0 if src[u] is None else rank((src[u],), w))
+                 for u in ps), default=0)
+        out.append((chain[order[-1]], ub))
+    return out
+
+
 def _submodule_at(F: GridModule, choices):
     """The closed submodule whose basis at the i-th point of `order` is the
     choices[i]-th superspace of the images of its predecessors."""
@@ -508,15 +570,27 @@ def _check_cone(spec, F: GridModule):
 
 def bar_search(spec, F: GridModule, t_values, engine="exhaustive") \
         -> BarFunction:
+    """bar(F) as a step function, flagged at each of t_values. The
+    exhaustive engine is exact at every t: where every level has a quiet
+    corner and the floor bounds (`_floor_bounds`) agree at each level past
+    0, bar(F) just past levels[J] is rank T_J; otherwise it is the frontier
+    DP's least rank over the sizes up to levels[J], refused once the DP's
+    steps at a point pass `EXHAUSTIVE_WORK_CAP`. The orbit engine gives an
+    upper bound at each t, flagged exact only where it is 0."""
     _check_cone(spec, F)
     t_values = sorted({Fraction(t) for t in t_values})
     if engine == "exhaustive":
-        # the smallest rank at each finite size; only S = F has size
-        # levels[0] = 0, so its rank is F's, and a running minimum over the
-        # sorted sizes is bar(F)
+        # the smallest rank at each finite size: from the floor bounds when
+        # they agree at every level past 0 (T_0 = F, whose least S is F),
+        # else from the DP. Only S = F has size levels[0] = 0, so its rank
+        # is F's, and a running minimum over the sorted sizes is bar(F)
         scorer = ns.QuotientScorer(spec, F)
-        least = {size: rank for size, (rank, _)
-                 in _least_rank_by_level(scorer).items()}
+        bounds = () if scorer.corners is None else _floor_bounds(scorer)
+        if bounds and all(lb == ub for lb, ub in bounds[1:]):
+            least = {size: ub for size, (_, ub) in zip(scorer.levels, bounds)}
+        else:
+            least = {size: rank for size, (rank, _)
+                     in _least_rank_by_level(scorer).items()}
         full_rank = least[scorer.levels[0]]
         bps = [(Fraction(0), full_rank, False)]
         best = full_rank

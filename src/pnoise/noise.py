@@ -34,6 +34,19 @@ on w (the test passes) when some v*_i < 0. Proof: every v landing on w is
 the test at w is monotone in k; S is closed, so points with S(v) = F(v)
 pass anyway.
 
+So F/S is within level k iff S contains the floor T_k, T_k(w) =
+colspan F(v*_k(w) <= w) (0 where no point lands on w). T_k is closed, as
+v*_k is monotone in w, so bar(F) just past levels[k] is the least rank of
+a closed S containing T_k, and it lies between two bounds:
+- UB_k = rank T_k, since T_k is itself such an S;
+- LB_k = the largest rank of T_k restricted to a saturated chain C from 0
+  to (box, ..., box). Each generator of S counts at the first point of C
+  above it, so rank(S|C) <= rank S; over the PID F_p[t] a graded
+  submodule of an n-generated module is n-generated, so rank(T_k|C) <=
+  rank(S|C). rank(T_k|C) sums, over the points w of C, dim T_k(w) minus
+  rank F(v*_k(u) <= w) for u the point before w on C (none at 0).
+At r=1 the grid is one chain, and LB_k = UB_k.
+
 Every cone-shaped size is one rule, `QuotientScorer.level`: the first
 level >= k at which a point passes. The test is monotone in the level, so
 F/S's size is the level reached by one pass over the points, each starting
@@ -248,6 +261,17 @@ def _kill_offsets(spec, alpha, box, r, eps):
     return maximal, corner, corner_cost is not None and corner_cost <= eps
 
 
+@lru_cache(maxsize=None)
+def _levels_and_kills(spec, alpha, box, r):
+    """The levels of a cone-shaped spec on grids of one shape, and the kill
+    data (`_kill_offsets`) of each: one memo lookup per scorer, and tuples,
+    since every scorer of that shape shares them."""
+    costs = _cost_table(spec, alpha, box, r)
+    levels = tuple(sorted({c for c in costs.values() if c is not None}))
+    return levels, tuple(_kill_offsets(spec, alpha, box, r, eps)
+                         for eps in levels)
+
+
 # -- feasible offsets (cell-exact witness sets) ----------------------------
 
 
@@ -366,15 +390,16 @@ class QuotientScorer:
 
     def __init__(self, spec, F: GridModule):
         self.spec, self.F = spec, F
-        self.levels = noise_candidates(spec, F)
         self.parts = self.kills = self.corners = None
-        if isinstance(spec, Intersection):
-            self.parts = [QuotientScorer(part, F) for part in spec.parts]
-        elif isinstance(spec, (ConeNoise, VNormNoise)):
-            self.kills = [_kill_offsets(spec, F.alpha, F.box, F.r, eps)
-                          for eps in self.levels]
+        if isinstance(spec, (ConeNoise, VNormNoise)):
+            self.levels, self.kills = _levels_and_kills(spec, F.alpha, F.box,
+                                                        F.r)
             self.corners = ([corner for _, corner, _ in self.kills]
                             if all(ok for _, _, ok in self.kills) else None)
+        else:
+            self.levels = noise_candidates(spec, F)
+            if isinstance(spec, Intersection):
+                self.parts = [QuotientScorer(part, F) for part in spec.parts]
         self.points = [w for w in F.points() if F.dims[w]]
         self._maps = {}
         self._paths = {}
@@ -383,9 +408,27 @@ class QuotientScorer:
         self._verdicts = {}
 
     def map(self, v, w):
-        hit = self._maps.get((v, w))
-        if hit is None:
-            hit = self._maps[(v, w)] = evaluate_map(self.F, v, w)
+        """F(v <= w) for in-box points v <= w: the edge into w along the
+        last axis where they differ, times the memoised map one step
+        shorter, which is the product `evaluate_map` takes. The steps back
+        to the first memoised map are walked, not recursed, so a long grid
+        cannot exhaust the stack."""
+        maps = self._maps
+        hit = maps.get((v, w))
+        if hit is not None:
+            return hit
+        u, steps = w, []
+        while (v, u) not in maps:
+            if u == v:
+                maps[(v, v)] = Mat.identity(self.F.dims[v], self.F.p)
+                break
+            a = max(i for i, (s, e) in enumerate(zip(v, u)) if s < e)
+            prev = u[:a] + (u[a] - 1,) + u[a + 1:]
+            steps.append((prev, a, u))
+            u = prev
+        hit = maps[(v, u)]
+        for prev, a, u in reversed(steps):
+            hit = maps[(v, u)] = self.F.edge(prev, a) @ hit
         return hit
 
     def path(self, v, m):
@@ -648,8 +691,7 @@ def max_noise_submodule(spec, F: GridModule, eps) -> Submodule:
 def noise_candidates(spec, F: GridModule):
     """The finitely many eps values where membership can change for F."""
     if isinstance(spec, (ConeNoise, VNormNoise)):
-        costs = _cost_table(spec, F.alpha, F.box, F.r)
-        return sorted({c for c in costs.values() if c is not None})
+        return list(_levels_and_kills(spec, F.alpha, F.box, F.r)[0])
     if isinstance(spec, (DomainNoise, DimensionNoise)):
         return sorted({e for e, _ in spec.steps} | {Fraction(0)})
     if isinstance(spec, Intersection):

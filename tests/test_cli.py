@@ -123,14 +123,21 @@ def test_fcf_exhaustive_over_work_cap_exits_at_once(tmp_path, capsys):
     # total dimension 18: each of the 2825 subspaces at (0,0) is its own
     # image at (1,0) through the identity edge, so 2825 states reach (0,1),
     # where the zero edge leaves each of them 2825 subspaces: past the cap
-    # at the twelfth state
+    # at the twelfth state. `fcf` runs no DP: the floor bounds agree at
+    # every level (T_1 = 0). The minimal-rank witness of a subfunctor
+    # denoising comes from the DP
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
         2, Q(1), 1, 2, {(0, 0): 6, (1, 0): 6, (0, 1): 6},
         {((0, 0), 0): Mat.identity(6, 2), ((0, 0), 1): Mat.zeros(6, 6, 2)})))
-    t0 = time.perf_counter()
     assert main(["fcf", str(big), "--noise", "vnorm:1,0;0,1",
-                 "--t", "1"]) == 4
+                 "--t", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        ["t,value", "0,12", "1,0", "t=1 value=12 exact=true"]
+    t0 = time.perf_counter()
+    assert main(["denoise", str(big), "--noise", "vnorm:1,0;0,1", "--t", "1",
+                 "--mode", "subfunctor", "-o", str(tmp_path / "den.mod")]) \
+        == 4
     assert time.perf_counter() - t0 < 1
     e = stderr_json(capsys)
     assert e["code"] == "resource"
@@ -163,8 +170,8 @@ def test_fcf_exhaustive_answers_under_its_steps(tmp_path, capsys):
 
 
 def test_fcf_answers_every_r1_spec_through_the_barcode(tmp_path, capsys):
-    # six free bars: the exhaustive search would take more steps than its
-    # cap, the closed form answers for every r=1 spec
+    # six free bars: the frontier DP would take more steps than its cap,
+    # the floor bounds, which agree at r=1, answer for every r=1 spec
     big = tmp_path / "big.mod"
     big.write_text(write_module(make_module(
         1, Q(1), 1, 2, {(0,): 6, (1,): 6}, {((0,), 0): Mat.identity(6, 2)})))

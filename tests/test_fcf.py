@@ -23,7 +23,8 @@ from pnoise.grid import (Bar, direct_sum, make_bar, make_free, make_module,
 from pnoise.noise import INFINITE, ConeNoise
 
 import dp_oracle
-from conftest import random_bar, random_line_module, random_sum_module
+from conftest import (random_bar, random_line_module,
+                      random_presented_module, random_sum_module)
 from module_checks import check_natural
 from noise_oracle import noise_size_by_candidates, random_specs
 from walk_oracle import enumerate_submodules, scored_submodules
@@ -658,19 +659,34 @@ def test_work_cap_counts_search_steps_per_point(monkeypatch):
     assert sum(1 for _ in enumerate_submodules(F)) == 1845
     n, v = _dp_steps(monkeypatch, ns.QuotientScorer(DIAG2, F))
     assert n == 461
-    # at the cap both exhaustive searches answer; one step over it, both
-    # refuse
+    # at the cap the minimal-rank search answers; one step over it, it
+    # refuses. F's floor bounds agree at every level, so bar_search runs
+    # no DP and answers at any cap
     want = bar_search(DIAG2, F, [Q(1)])
-    assert want.engine == "exhaustive"
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n)
-    assert bar_search(DIAG2, F, [Q(1)]) == want
     minimal_rank_submodule(DIAG2, F, Q(1))
     monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
-    for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
-        with pytest.raises(SearchSpaceTooLarge) as e:
-            search(DIAG2, F, t)
-        assert str(e.value) == \
-            f"at least {n} search steps at {v}, over the cap {n - 1} per point"
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        minimal_rank_submodule(DIAG2, F, Q(1))
+    assert str(e.value) == \
+        f"at least {n} search steps at {v}, over the cap {n - 1} per point"
+    assert bar_search(DIAG2, F, [Q(1)]) == want
+    # with the hook added on the same box, the bounds differ at level 1
+    # (4 against 5), so bar_search runs the DP and its cap
+    monkeypatch.undo()
+    G = direct_sum(F, hook_module())
+    assert fc._floor_bounds(ns.QuotientScorer(DIAG2, G))[1] == (4, 5)
+    n, v = _dp_steps(monkeypatch, ns.QuotientScorer(DIAG2, G))
+    assert (n, v) == (11028, (2, 1))
+    want = bar_search(DIAG2, G, [Q(1)])
+    assert want.engine == "exhaustive" and want.value(Q(1)) == 5
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n)
+    assert bar_search(DIAG2, G, [Q(1)]) == want
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", n - 1)
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        bar_search(DIAG2, G, [Q(1)])
+    assert str(e.value) == \
+        f"at least {n} search steps at {v}, over the cap {n - 1} per point"
 
 
 def test_work_cap_is_charged_before_the_subspaces_are_listed(monkeypatch):
@@ -687,10 +703,18 @@ def test_work_cap_is_charged_before_the_subspaces_are_listed(monkeypatch):
     monkeypatch.setattr(fc, "_all_subspaces", listed)
     fc._superspaces.cache_clear()
     F = make_module(1, Q(1), 0, 2, {(0,): 8})
-    for search, t in ((bar_search, [Q(1)]), (minimal_rank_submodule, Q(1))):
-        with pytest.raises(SearchSpaceTooLarge,
-                           match="at least 417199 search steps"):
-            search(RAY1, F, t)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="at least 417199 search steps"):
+        minimal_rank_submodule(RAY1, F, Q(1))
+    # bar_search answers F from its floor bounds, listing nothing; beside
+    # the hook, whose bounds differ at level 1, the DP's first point is
+    # the 8-dimensional origin
+    assert bar_search(RAY1, F, [Q(1)]).fcf == constant_fcf(8)
+    G = direct_sum(hook_module(), make_module(2, Q(1), 2, 2, {(0, 0): 8}))
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        bar_search(DIAG2, G, [Q(1)])
+    assert str(e.value) == "at least 417199 search steps at (0, 0), over " \
+        f"the cap {fc.EXHAUSTIVE_WORK_CAP} per point"
 
 
 # -- memoised scoring and walking against the unmemoised paths -------------
@@ -1163,6 +1187,121 @@ def test_exhaustive_bar_search_reads_the_full_rank_off_its_sizes(
 
     monkeypatch.setattr(st, "rank", refuse)
     assert [bar_search(spec, F, [Q(1)]).fcf for spec, F in cases] == want
+
+
+# -- the floor bounds against the DP ---------------------------------------
+
+
+def _draws40():
+    """The 40 draws: random r=2 sums at box 3 and p=2 of 3-5 summands."""
+    rng = random.Random(7)
+    return [random_sum_module(rng, r=2, box=3, p=2,
+                              summands=rng.randint(3, 5)) for _ in range(40)]
+
+
+def _bound_sets():
+    """{set: [(spec, F)]} for the five module sets the floor bounds are
+    checked on: the 40 draws, r=3 and p=3 sums, the gallery and the
+    presented family."""
+    P = ns.parse_noise_spec
+    two = [P("cone:1,1"), P("vnorm:1,0;0,1")]
+    rng = random.Random(11)
+    r3 = [random_sum_module(rng, r=3, box=rng.randint(1, 2), p=2,
+                            summands=rng.randint(2, 4)) for _ in range(60)]
+    p3 = [random_sum_module(rng, r=2, box=2, p=3, summands=rng.randint(2, 4))
+          for _ in range(40)]
+    cycle = [P("cone:1,1"), P("vnorm:1,0;0,1"), P("cone:2,1;1,2")]
+    presented = []
+    for seed, box, p in ((1, 3, 2), (2, 2, 3)):
+        rng = random.Random(seed)
+        presented += [(cycle[i % 3], random_presented_module(rng, box=box,
+                                                             p=p))
+                      for i in range(80)]
+    gallery = [ga.hook_module(), ga.hook_module(box=3, p=3),
+               ga.staircase_module(), ga.wide_staircase_module(),
+               ga.plane_example_module(), ga.band_union()]
+    return {"draws": [(spec, F) for F in _draws40() for spec in two],
+            "sums": [(spec, F) for F in r3 for spec in (
+                         P("vnorm:1,0,0;0,1,0;0,0,1"), P("cone:1,1,1"))]
+                    + [(P("cone:1,1"), F) for F in p3],
+            "gallery": [(spec, F) for F in gallery for spec in two],
+            "presented": presented}
+
+
+def _bar_of_least(least):
+    """bar(F) as bar_search builds it from {size: least rank}."""
+    bps = [(Q(0), least[Q(0)], False)]
+    for size in sorted(least):
+        if least[size] < bps[-1][1]:
+            bps.append((size, least[size], True))
+    return FeatureCountingFunction(tuple(bps))
+
+
+def test_floor_bounds_bracket_the_dp(monkeypatch):
+    # LB_J <= the least rank over sizes up to levels[J] <= UB_J at every
+    # level, and bar_search is the DP's running minimum; the DP's cap is
+    # lowered to keep the test short, so it answers a subset. The bounds
+    # agree past level 0 on every draw and sum, and not on most of the
+    # gallery, whose modules are not sums of intervals
+    monkeypatch.setattr(fc, "EXHAUSTIVE_WORK_CAP", 2 ** 10)
+    agreed, checked = {}, 0
+    for name, cases in _bound_sets().items():
+        agreed[name] = 0
+        for spec, F in cases:
+            scorer = ns.QuotientScorer(spec, F)
+            bounds = fc._floor_bounds(scorer)
+            assert len(bounds) == len(scorer.levels)
+            agreed[name] += all(lb == ub for lb, ub in bounds[1:])
+            try:
+                least = _least_rank_by_dp(ns.QuotientScorer(spec, F))
+            except SearchSpaceTooLarge:
+                continue
+            for size, (lb, ub) in zip(scorer.levels, bounds):
+                value = min(rk for sg, rk in least.items() if sg <= size)
+                assert lb <= value <= ub, (name, spec, F.dims, size)
+            assert bar_search(spec, F, [Q(1)]).fcf == _bar_of_least(least), \
+                (name, spec, F.dims)
+            checked += 1
+    assert agreed == {"draws": 80, "sums": 160, "gallery": 2,
+                      "presented": 154}
+    assert checked > 300
+
+
+def _no_dp(scorer):
+    raise AssertionError("the frontier DP ran")
+
+
+def test_bounds_answer_every_r1_module_without_the_dp(monkeypatch):
+    # one chain: LB_J = UB_J at every level of every r=1 module, so the
+    # criterion 6 modules never reach the DP, and their bar is the
+    # barcode's
+    monkeypatch.setattr(fc, "_least_rank_by_level", _no_dp)
+    rng = random.Random(42)
+    for _ in range(200):
+        box = rng.randrange(1, 7)
+        F = random_line_module(rng, box=box, p=2, maxdim=3, total_cap=7)
+        for spec in (RAY1, ns.VNormNoise(((Q(1, 2),),))):
+            assert bar_search(spec, F, [Q(1)]).fcf == bar_r1(spec, F), F.dims
+    with pytest.raises(AssertionError, match="the frontier DP ran"):
+        bar_search(DIAG2, ga.hook_module(), [Q(1)])
+
+
+def test_bounds_answer_draws_the_dp_refuses(monkeypatch):
+    # draws #13 and #24 pass the DP's cap at (2, 1). Their bounds agree at
+    # every level, and the values are those of the DP with its cap lifted
+    draws = _draws40()
+    spec = ns.parse_noise_spec("cone:1,1")
+    with pytest.raises(SearchSpaceTooLarge) as e:
+        fc._least_rank_by_level(ns.QuotientScorer(spec, draws[24]))
+    assert str(e.value) == "at least 32783 search steps at (2, 1), over " \
+        f"the cap {fc.EXHAUSTIVE_WORK_CAP} per point"
+    monkeypatch.setattr(fc, "_least_rank_by_level", _no_dp)
+    ts = [Q(1), Q(2), Q(3)]
+    for spec in map(ns.parse_noise_spec, ("cone:1,1", "vnorm:1,0;0,1")):
+        for i, want in ((13, [5, 5, 4]), (24, [5, 5, 5])):
+            got = bar_search(spec, draws[i], ts)
+            assert [got.value(t) for t in ts] == want, (spec, i)
+            assert got.flags == tuple((t, True) for t in ts)
 
 
 # -- natural maps, closeness, interleavings --------------------------------

@@ -631,6 +631,7 @@ def test_cost_table_built_once(monkeypatch):
 
     monkeypatch.setattr(noise, "offset_cost", counted)
     noise._cost_table.cache_clear()
+    noise._levels_and_kills.cache_clear()   # it holds the tables' levels
     assert noise_size(RAY1, make_bar(Bar((0,), (2,)), 4, Q(1), 2)) == 2
     assert len(calls) == 5                  # one per offset in {0..4}
     assert noise_size(RAY1, make_free((1,), 4, Q(1), 2)) == INFINITE
@@ -652,6 +653,7 @@ def test_kill_offsets_memoised_per_shape():
     # the kill offsets of every level depend only on (spec, alpha, box, r,
     # eps): a second module of the same shape adds no miss
     noise._kill_offsets.cache_clear()
+    noise._levels_and_kills.cache_clear()   # it holds every level's data
     F = make_bar(Bar((0,), (2,)), 4, Q(1), 2)
     G = make_bar(Bar((1,), (2,)), 4, Q(1), 2)     # same (alpha, box, r)
     assert contains(RAY1, F, Q(2))
